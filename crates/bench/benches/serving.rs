@@ -24,7 +24,8 @@ use genie::engine::{GenieEngine, ParseRequest};
 use genie::paraphrase::ParaphraseConfig;
 use genie::pipeline::PipelineConfig;
 use genie::GenieResult;
-use genie_bench::{json_object, json_string};
+use genie_bench::{json_object, quantile, training_commands};
+use genie_server::json::escape;
 use genie_templates::GeneratorConfig;
 use luinet::ModelConfig;
 
@@ -82,33 +83,22 @@ fn with_threads(base: &GenieEngine, threads: usize) -> GenieEngine {
 /// a converged model), salted with malformed requests the engine must
 /// reject without panicking.
 fn workload(requests: usize, target_per_rule: usize) -> Vec<ParseRequest> {
-    let library = thingpedia::Thingpedia::builtin();
-    let pipeline = genie::DataPipeline::new(
-        &library,
-        PipelineConfig::builder()
-            .synthesis(
-                GeneratorConfig::builder()
-                    .target_per_rule(target_per_rule)
-                    .instantiations_per_template(1)
-                    .seed(7)
-                    .quiet(true)
-                    .build()
-                    .expect("valid synthesis config"),
-            )
-            .parameter_expansion(false)
-            .paraphrase_sample(0)
-            .seed(7)
-            .build()
-            .expect("valid pipeline config"),
-    );
-    let mut commands: Vec<String> = Vec::new();
-    pipeline
-        .run_streaming(genie::NnOptions::default(), |example| {
-            if commands.len() < 64 {
-                commands.push(example.sentence_text());
-            }
-        })
-        .expect("builtin pipeline streams");
+    let config = PipelineConfig::builder()
+        .synthesis(
+            GeneratorConfig::builder()
+                .target_per_rule(target_per_rule)
+                .instantiations_per_template(1)
+                .seed(7)
+                .quiet(true)
+                .build()
+                .expect("valid synthesis config"),
+        )
+        .parameter_expansion(false)
+        .paraphrase_sample(0)
+        .seed(7)
+        .build()
+        .expect("valid pipeline config");
+    let commands = training_commands(&config, 64);
     (0..requests)
         .map(|i| {
             // One request in sixteen is garbage the engine must reject.
@@ -119,14 +109,6 @@ fn workload(requests: usize, target_per_rule: usize) -> Vec<ParseRequest> {
             }
         })
         .collect()
-}
-
-fn quantile(sorted_micros: &[f64], q: f64) -> f64 {
-    if sorted_micros.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_micros.len() - 1) as f64 * q).round() as usize;
-    sorted_micros[idx]
 }
 
 /// Render responses into a canonical comparison string (errors included),
@@ -240,7 +222,7 @@ fn bench_serving_report(_c: &mut Criterion) {
         })
         .collect();
     let report = json_object(&[
-        ("bench", json_string("serving")),
+        ("bench", escape("serving")),
         ("smoke", smoke.to_string()),
         (
             "config",

@@ -16,7 +16,8 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use genie_bench::{json_object, json_string};
+use genie_bench::json_object;
+use genie_server::json::escape;
 use genie_templates::dedup::Fnv64;
 use genie_templates::{GeneratorConfig, SentenceGenerator};
 use thingpedia::Thingpedia;
@@ -272,7 +273,7 @@ fn bench_streaming_report(_c: &mut Criterion) {
 
     let run_json = |mode: &str, threads: usize, count: usize, secs: f64| {
         json_object(&[
-            ("mode", json_string(mode)),
+            ("mode", escape(mode)),
             ("threads", threads.to_string()),
             ("sentences", count.to_string()),
             ("seconds", format!("{secs:.6}")),
@@ -290,7 +291,7 @@ fn bench_streaming_report(_c: &mut Criterion) {
     const BASELINE_DIGEST: &str = "89cdf1573252580e";
 
     let report = json_object(&[
-        ("bench", json_string("synthesis")),
+        ("bench", escape("synthesis")),
         ("smoke", smoke.to_string()),
         ("cpus", cpus.to_string()),
         (
@@ -306,13 +307,13 @@ fn bench_streaming_report(_c: &mut Criterion) {
         (
             "baseline",
             json_object(&[
-                ("label", json_string("pre-interning string engine (PR 2)")),
+                ("label", escape("pre-interning string engine")),
                 (
                     "sentences_per_sec_sequential",
                     format!("{BASELINE_SEQUENTIAL_SENTENCES_PER_SEC:.1}"),
                 ),
                 ("peak_rss_delta_kb", BASELINE_PEAK_RSS_DELTA_KB.to_string()),
-                ("dataset_digest", json_string(BASELINE_DIGEST)),
+                ("dataset_digest", escape(BASELINE_DIGEST)),
             ]),
         ),
         (
@@ -347,10 +348,7 @@ fn bench_streaming_report(_c: &mut Criterion) {
             "collect_extra_rss_kb",
             collect_extra_rss_kb.map_or("null".to_owned(), |kb| kb.to_string()),
         ),
-        (
-            "dataset_digest",
-            json_string(&format!("{parallel_digest:016x}")),
-        ),
+        ("dataset_digest", escape(&format!("{parallel_digest:016x}"))),
     ]);
     let path =
         std::env::var("GENIE_BENCH_JSON").unwrap_or_else(|_| "BENCH_synthesis.json".to_owned());

@@ -33,8 +33,9 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use genie_bench::{json_object, json_string, training_workload};
+use genie_bench::{json_object, training_workload};
 use genie_nlp::TokenStream;
+use genie_server::json::escape;
 use luinet::{LuinetParser, ModelConfig, ParserExample};
 
 /// The pre-rewrite sequential trainer on the smoke workload (667 examples,
@@ -118,7 +119,7 @@ fn bench_training_report(_c: &mut Criterion) {
     );
 
     let report = json_object(&[
-        ("bench", json_string("training")),
+        ("bench", escape("training")),
         ("smoke", smoke.to_string()),
         (
             "config",
@@ -134,10 +135,7 @@ fn bench_training_report(_c: &mut Criterion) {
         (
             "baseline",
             json_object(&[
-                (
-                    "label",
-                    json_string("pre-rewrite sequential string trainer (PR 4)"),
-                ),
+                ("label", escape("pre-rewrite sequential string trainer")),
                 (
                     "train_examples_per_sec",
                     format!("{BASELINE_TRAIN_EXAMPLES_PER_SEC:.1}"),
@@ -164,7 +162,7 @@ fn bench_training_report(_c: &mut Criterion) {
             "decode_speedup_vs_baseline",
             format!("{:.4}", decode_rate / BASELINE_DECODE_TOKENS_PER_SEC),
         ),
-        ("weights_digest", json_string(&format!("{digest:016x}"))),
+        ("weights_digest", escape(&format!("{digest:016x}"))),
         ("digest_thread_invariant", "[1, 2, 8]".to_owned()),
         ("exact_match_accuracy", format!("{accuracy:.4}")),
         (

@@ -27,11 +27,9 @@ use std::process::{Command, Stdio};
 use std::time::Instant;
 
 use genie::{read_columnar_shard, DatasetFormat, ShardedDatasetWriter};
-use genie_bench::{
-    available_cpus, flag_value, json_field, json_number, json_object, json_string,
-    training_workload,
-};
+use genie_bench::{available_cpus, flag_value, json_object, training_workload};
 use genie_nlp::intern::TokenStream;
+use genie_server::json::{escape, Json};
 use genie_templates::dedup::Fnv64;
 use luinet::{LuinetParser, ModelConfig, ParserExample};
 
@@ -86,7 +84,7 @@ fn worker(args: &[String]) {
     println!(
         "{}",
         json_object(&[
-            ("shard", json_string(&shard_name)),
+            ("shard", escape(&shard_name)),
             ("examples", examples.len().to_string()),
             ("decoded_tokens", decoded_tokens.to_string()),
             ("snapshot_load_secs", format!("{load_secs:.6}")),
@@ -274,21 +272,28 @@ fn parent(args: &[String]) {
     }
     let wall_secs = wall_start.elapsed().as_secs_f64();
 
-    let total_examples: f64 = workers
+    let reports: Vec<Json> = workers
         .iter()
-        .map(|w| json_number(w, "examples").expect("worker examples"))
-        .sum();
-    let total_load: f64 = workers
+        .map(|w| Json::parse(w).expect("worker report is JSON"))
+        .collect();
+    let number = |report: &Json, key: &str| {
+        report
+            .get(key)
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("worker report lacks `{key}`"))
+    };
+    let total_examples: f64 = reports.iter().map(|r| number(r, "examples")).sum();
+    let total_load: f64 = reports
         .iter()
-        .map(|w| json_number(w, "snapshot_load_secs").expect("worker load time"))
+        .map(|r| number(r, "snapshot_load_secs"))
         .sum();
     assert_eq!(total_examples as usize, examples.len());
-    for worker in &workers {
+    for report in &reports {
         println!(
             "worker {}: {} examples, {} ex/s",
-            json_field(worker, "shard").unwrap_or("?"),
-            json_field(worker, "examples").unwrap_or("?"),
-            json_field(worker, "examples_per_sec").unwrap_or("?"),
+            report.get("shard").and_then(Json::as_str).unwrap_or("?"),
+            number(report, "examples"),
+            number(report, "examples_per_sec"),
         );
     }
     let aggregate_rate = total_examples / wall_secs.max(1e-9);
@@ -299,7 +304,7 @@ fn parent(args: &[String]) {
     );
 
     let report = json_object(&[
-        ("bench", json_string("artifacts")),
+        ("bench", escape("artifacts")),
         ("smoke", "true".to_owned()),
         ("cpus", cpus.to_string()),
         (
@@ -325,7 +330,7 @@ fn parent(args: &[String]) {
                 ),
                 ("tsv_write_secs", format!("{tsv_secs:.6}")),
                 ("columnar_write_secs", format!("{col_secs:.6}")),
-                ("dataset_digest", json_string(&format!("{tsv_digest:016x}"))),
+                ("dataset_digest", escape(&format!("{tsv_digest:016x}"))),
                 ("formats_agree", "true".to_owned()),
             ]),
         ),
@@ -337,10 +342,7 @@ fn parent(args: &[String]) {
                 ("save_secs", format!("{save_secs:.6}")),
                 ("load_secs", format!("{load_secs:.6}")),
                 ("load_speedup_vs_train", format!("{load_speedup:.1}")),
-                (
-                    "weights_digest",
-                    json_string(&format!("{weights_digest:016x}")),
-                ),
+                ("weights_digest", escape(&format!("{weights_digest:016x}"))),
                 ("roundtrip_ok", "true".to_owned()),
             ]),
         ),

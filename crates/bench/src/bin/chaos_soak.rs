@@ -29,7 +29,7 @@
 //!
 //! `GENIE_BENCH_SMOKE=1` shrinks the workload to CI-smoke size.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -39,8 +39,12 @@ use genie::engine::{GenieEngine, ParseRequest};
 use genie::live::LiveWorld;
 use genie::paraphrase::ParaphraseConfig;
 use genie::pipeline::PipelineConfig;
-use genie_bench::{flag_value, json_object, json_string};
+use genie_bench::{
+    flag_value, json_object, metric, parse_body, training_commands, MAX_RESPONSE_BYTES,
+};
 use genie_nlp::failpoint::{self, FaultPlan, SiteSpec};
+use genie_server::http::{self, HttpError, Response};
+use genie_server::json::{escape, Json};
 use genie_server::{api, GenieServer, ServerConfig};
 use genie_templates::GeneratorConfig;
 use luinet::ModelConfig;
@@ -127,99 +131,17 @@ fn pipeline_config(target_per_rule: usize, paraphrase_sample: usize) -> Pipeline
 /// Utterances from the base library's training distribution — classes the
 /// reload deltas never touch, so they must keep parsing across swaps.
 fn workload(requests: usize, config: &PipelineConfig) -> Vec<ParseRequest> {
-    let library = Thingpedia::builtin();
-    let pipeline = genie::DataPipeline::new(&library, *config);
-    let mut commands: Vec<String> = Vec::new();
-    pipeline
-        .run_streaming(genie::NnOptions::default(), |example| {
-            if commands.len() < 48 {
-                commands.push(example.sentence_text());
-            }
-        })
-        .expect("builtin pipeline streams");
+    let commands = training_commands(config, 48);
     (0..requests)
         .map(|i| ParseRequest::new(commands[i % commands.len()].clone()))
         .collect()
 }
 
-// --- A minimal blocking HTTP client with hang detection ----------------
-
-struct Response {
-    status: u16,
-    body: String,
-}
-
-/// What one read attempt produced.
-enum Wire {
-    Response(Response),
-    /// The server closed (or reset) the connection — a legitimate outcome
-    /// of `server.accept` faults and post-panic connection teardown.
-    Closed,
-    /// The read blocked past [`HANG_BUDGET`] — never legitimate.
-    Hung,
-}
-
-fn read_wire<R: BufRead>(reader: &mut R) -> Wire {
-    let mut status_line = String::new();
-    match reader.read_line(&mut status_line) {
-        Ok(0) => return Wire::Closed,
-        Ok(_) => {}
-        Err(error) => return classify_read_error(&error),
-    }
-    let Some(status) = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-    else {
-        return Wire::Closed;
-    };
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Wire::Closed,
-            Ok(_) => {}
-            Err(error) => return classify_read_error(&error),
-        }
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap_or(0);
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    if let Err(error) = reader.read_exact(&mut body) {
-        return classify_read_error(&error);
-    }
-    match String::from_utf8(body) {
-        Ok(body) => Wire::Response(Response { status, body }),
-        Err(_) => Wire::Closed,
-    }
-}
-
-fn classify_read_error(error: &std::io::Error) -> Wire {
-    match error.kind() {
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => Wire::Hung,
-        _ => Wire::Closed,
-    }
-}
-
-fn raw_request(method: &str, path: &str, body: &str) -> String {
-    format!(
-        "{method} {path} HTTP/1.1\r\nHost: chaos\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n{body}",
-        body.len(),
-    )
-}
-
-fn parse_body(utterance: &str) -> String {
-    format!(
-        "{{\"utterance\": {}}}",
-        genie_server::json::escape(utterance)
-    )
+/// A read that blocks past [`HANG_BUDGET`] — never legitimate. Every other
+/// read error is the server closing (or resetting) the connection, a
+/// legitimate outcome of `server.accept` faults and post-panic teardown.
+fn hung(error: &HttpError) -> bool {
+    matches!(error, HttpError::Timeout | HttpError::IdleTimeout)
 }
 
 fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
@@ -297,11 +219,12 @@ fn run_chaos_client(
         if job_index > 0 && job_index % 8 == 0 {
             (writer, reader) = connect(addr);
         }
-        let wire = raw_request("POST", "/v1/parse", &parse_body(&utterance));
+        let body = parse_body(&utterance);
         let mut attempts = 0usize;
         loop {
             attempts += 1;
-            if writer.write_all(wire.as_bytes()).is_err() {
+            if http::write_request(&mut writer, "POST", "/v1/parse", body.as_bytes(), true).is_err()
+            {
                 tally.reconnects += 1;
                 if attempts >= 4 {
                     break; // dropped repeatedly — a valid outcome; move on
@@ -309,38 +232,39 @@ fn run_chaos_client(
                 (writer, reader) = connect(addr);
                 continue;
             }
-            match read_wire(&mut reader) {
-                Wire::Response(response) => {
-                    let matches_oracle = (response.status, response.body.as_str())
-                        == (expected_status, expected_body.as_str());
+            match http::read_response(&mut reader, MAX_RESPONSE_BYTES) {
+                Ok(response) => {
+                    let text = response.text();
+                    let matches_oracle =
+                        (response.status, &*text) == (expected_status, expected_body.as_str());
                     let acceptable_parse = !strict_identity
                         && (response.status == 422 || (200..300).contains(&response.status));
                     if matches_oracle || acceptable_parse {
                         tally.identical += 1;
-                    } else if is_typed_fault(response.status, &response.body) {
+                    } else if is_typed_fault(response.status, &text) {
                         tally.typed_faults += 1;
                         // A handler panic closes the connection after
                         // answering; reconnect lazily on the next failure.
                     } else {
                         eprintln!(
-                            "chaos: INVALID response for `{utterance}`: {} {}",
-                            response.status, response.body
+                            "chaos: INVALID response for `{utterance}`: {} {text}",
+                            response.status
                         );
                         tally.invalid += 1;
                     }
                     break;
                 }
-                Wire::Closed => {
+                Err(error) if hung(&error) => {
+                    eprintln!("chaos: HUNG connection waiting on `{utterance}`");
+                    tally.hung += 1;
+                    return tally;
+                }
+                Err(_) => {
                     tally.reconnects += 1;
                     if attempts >= 4 {
                         break;
                     }
                     (writer, reader) = connect(addr);
-                }
-                Wire::Hung => {
-                    eprintln!("chaos: HUNG connection waiting on `{utterance}`");
-                    tally.hung += 1;
-                    return tally;
                 }
             }
         }
@@ -348,24 +272,25 @@ fn run_chaos_client(
     tally
 }
 
-fn probe(addr: SocketAddr, wire: &[u8]) -> Wire {
+/// One request on a fresh [`connect`]ion.
+fn probe(addr: SocketAddr, method: &str, path: &str, body: &str) -> Result<Response, HttpError> {
     let (mut writer, mut reader) = connect(addr);
-    if writer.write_all(wire).is_err() {
-        return Wire::Closed;
-    }
-    read_wire(&mut reader)
+    http::write_request(&mut writer, method, path, body.as_bytes(), true).map_err(HttpError::Io)?;
+    http::read_response(&mut reader, MAX_RESPONSE_BYTES)
 }
 
 /// Probe `GET /v1/admin/version`, retrying dropped connections.
 fn fetch_version(addr: SocketAddr) -> u64 {
     for _ in 0..8 {
-        match probe(addr, raw_request("GET", "/v1/admin/version", "").as_bytes()) {
-            Wire::Response(response) => {
-                return genie_bench::json_number(&response.body, "world_version")
+        match probe(addr, "GET", "/v1/admin/version", "") {
+            Ok(response) => {
+                return Json::parse(&response.text())
+                    .ok()
+                    .and_then(|version| version.get("world_version")?.as_f64())
                     .expect("version body has world_version") as u64;
             }
-            Wire::Closed => continue,
-            Wire::Hung => panic!("hung fetching /v1/admin/version"),
+            Err(error) if hung(&error) => panic!("hung fetching /v1/admin/version"),
+            Err(_) => continue,
         }
     }
     panic!("could not fetch /v1/admin/version in 8 attempts");
@@ -441,15 +366,6 @@ fn quiet_injected_panics() {
         }
         previous(info);
     }));
-}
-
-fn scrape_metric(text: &str, name: &str) -> u64 {
-    text.lines()
-        .find_map(|line| {
-            line.strip_prefix(name)
-                .map(|rest| rest.trim().parse().unwrap())
-        })
-        .unwrap_or_else(|| panic!("metric `{name}` missing"))
 }
 
 #[allow(clippy::too_many_lines)]
@@ -537,7 +453,7 @@ fn main() {
             .into_iter()
             .map(|site| {
                 json_object(&[
-                    ("site", json_string(&site.site)),
+                    ("site", escape(&site.site)),
                     ("hits", site.hits.to_string()),
                     ("fired", site.fired.to_string()),
                 ])
@@ -581,18 +497,15 @@ fn main() {
                 "{{\"op\": \"upsert\", \"class\": {}, \"templates\": \
                  [{{\"category\": \"vp\", \"function\": \"set_power\", \"utterance\": {}}}], \
                  \"mode\": \"full\", \"wait\": true}}",
-                genie_server::json::escape(
+                escape(
                     "class @com.chaos.lights { action set_power(in req power : Enum(on, off)); }"
                 ),
-                genie_server::json::escape(&format!("chaos the lights $power v{swap}")),
+                escape(&format!("chaos the lights $power v{swap}")),
             );
-            let outcome = probe(
-                addr,
-                raw_request("POST", "/v1/admin/reload", &body).as_bytes(),
-            );
+            let outcome = probe(addr, "POST", "/v1/admin/reload", &body);
             let version = fetch_version(addr);
             match outcome {
-                Wire::Response(response) if response.status == 200 => {
+                Ok(response) if response.status == 200 => {
                     reloads_ok += 1;
                     if version != last_version + 1 {
                         eprintln!(
@@ -601,7 +514,7 @@ fn main() {
                         version_monotonic = false;
                     }
                 }
-                Wire::Response(response) if is_typed_fault(response.status, &response.body) => {
+                Ok(response) if is_typed_fault(response.status, &response.text()) => {
                     reloads_failed += 1;
                     if version != last_version {
                         eprintln!(
@@ -611,14 +524,15 @@ fn main() {
                         version_monotonic = false;
                     }
                 }
-                Wire::Response(response) => {
+                Ok(response) => {
                     panic!(
                         "reload {swap}: unexpected response {} {}",
-                        response.status, response.body
+                        response.status,
+                        response.text()
                     );
                 }
-                Wire::Closed => panic!("reload {swap}: admin connection dropped"),
-                Wire::Hung => panic!("reload {swap}: admin connection hung"),
+                Err(error) if hung(&error) => panic!("reload {swap}: admin connection hung"),
+                Err(_) => panic!("reload {swap}: admin connection dropped"),
             }
             if version < last_version {
                 version_monotonic = false;
@@ -645,11 +559,11 @@ fn main() {
     );
 
     let metrics_text = server.metrics_text();
-    let panics = scrape_metric(&metrics_text, "server_panics_total");
-    let respawns = scrape_metric(&metrics_text, "server_acceptor_respawns_total");
-    let shed = scrape_metric(&metrics_text, "server_shed_total");
-    let deadline_exceeded = scrape_metric(&metrics_text, "server_deadline_exceeded_total");
-    let reload_failed_metric = scrape_metric(&metrics_text, "server_reload_failed_total");
+    let panics = metric(&metrics_text, "server_panics_total");
+    let respawns = metric(&metrics_text, "server_acceptor_respawns_total");
+    let shed = metric(&metrics_text, "server_shed_total");
+    let deadline_exceeded = metric(&metrics_text, "server_deadline_exceeded_total");
+    let reload_failed_metric = metric(&metrics_text, "server_reload_failed_total");
 
     let all_responses_valid = storm.invalid == 0 && reload_tally.invalid == 0;
     let recovered_to_steady_state = recovery.invalid == 0
@@ -660,7 +574,7 @@ fn main() {
         storm.hung == 0 && reload_tally.hung == 0 && recovery.hung == 0 && warm.hung == 0;
 
     let report = json_object(&[
-        ("bench", json_string("chaos_soak")),
+        ("bench", escape("chaos_soak")),
         ("smoke", smoke.to_string()),
         (
             "config",

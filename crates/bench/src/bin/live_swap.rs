@@ -23,7 +23,7 @@
 //!
 //! `GENIE_BENCH_SMOKE=1` shrinks the workload to CI-smoke size.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,8 +33,12 @@ use genie::engine::{GenieEngine, ParseRequest};
 use genie::live::LiveWorld;
 use genie::paraphrase::ParaphraseConfig;
 use genie::pipeline::PipelineConfig;
-use genie_bench::{flag_value, json_object};
-use genie_server::{api, GenieServer, ServerConfig};
+use genie_bench::{
+    flag_value, json_object, metric, parse_body, quantile, request, training_commands,
+    MAX_RESPONSE_BYTES,
+};
+use genie_server::json::Json;
+use genie_server::{api, http, GenieServer, ServerConfig};
 use genie_templates::GeneratorConfig;
 use luinet::ModelConfig;
 use thingpedia::{PhraseCategory, PrimitiveTemplate, Thingpedia};
@@ -124,82 +128,10 @@ fn model_config() -> ModelConfig {
 /// Utterances from the base library's training distribution — classes the
 /// bench deltas never touch, so they must keep parsing across every swap.
 fn workload(requests: usize, config: &PipelineConfig) -> Vec<ParseRequest> {
-    let library = Thingpedia::builtin();
-    let pipeline = genie::DataPipeline::new(&library, *config);
-    let mut commands: Vec<String> = Vec::new();
-    pipeline
-        .run_streaming(genie::NnOptions::default(), |example| {
-            if commands.len() < 48 {
-                commands.push(example.sentence_text());
-            }
-        })
-        .expect("builtin pipeline streams");
+    let commands = training_commands(config, 48);
     (0..requests)
         .map(|i| ParseRequest::new(commands[i % commands.len()].clone()))
         .collect()
-}
-
-// --- A minimal blocking HTTP client -----------------------------------
-
-struct Response {
-    status: u16,
-    body: String,
-}
-
-fn read_response<R: BufRead>(reader: &mut R) -> Option<Response> {
-    let mut status_line = String::new();
-    if reader.read_line(&mut status_line).ok()? == 0 {
-        return None;
-    }
-    let status: u16 = status_line.split_whitespace().nth(1)?.parse().ok()?;
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).ok()?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().ok()?;
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).ok()?;
-    Some(Response {
-        status,
-        body: String::from_utf8(body).ok()?,
-    })
-}
-
-fn raw_request(method: &str, path: &str, body: &str) -> String {
-    format!(
-        "{method} {path} HTTP/1.1\r\nHost: bench\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n{body}",
-        body.len(),
-    )
-}
-
-fn parse_body(utterance: &str) -> String {
-    format!(
-        "{{\"utterance\": {}}}",
-        genie_server::json::escape(utterance)
-    )
-}
-
-fn probe(addr: SocketAddr, wire: &[u8]) -> Option<Response> {
-    let mut stream = TcpStream::connect(addr).ok()?;
-    stream.write_all(wire).ok()?;
-    read_response(&mut BufReader::new(stream))
-}
-
-fn quantile(sorted_micros: &[f64], q: f64) -> f64 {
-    if sorted_micros.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_micros.len() - 1) as f64 * q).round() as usize;
-    sorted_micros[idx]
 }
 
 fn sorted(mut micros: Vec<f64>) -> Vec<f64> {
@@ -218,14 +150,14 @@ fn run_identity_client(
     let mut reader = BufReader::new(stream);
     let mut micros = Vec::with_capacity(jobs.len());
     for (utterance, expected_status, expected_body) in jobs {
+        let body = parse_body(&utterance);
         let start = Instant::now();
-        writer
-            .write_all(raw_request("POST", "/v1/parse", &parse_body(&utterance)).as_bytes())
+        http::write_request(&mut writer, "POST", "/v1/parse", body.as_bytes(), true)
             .expect("write request");
-        let response = read_response(&mut reader).expect("read response");
+        let response = http::read_response(&mut reader, MAX_RESPONSE_BYTES).expect("read response");
         micros.push(start.elapsed().as_secs_f64() * 1e6);
         assert_eq!(
-            (response.status, response.body.as_str()),
+            (response.status, &*response.text()),
             (expected_status, expected_body.as_str()),
             "socket response for `{utterance}` drifted from the in-process rendering"
         );
@@ -248,28 +180,26 @@ fn run_swap_client(
     let mut micros = Vec::new();
     let mut next = 0usize;
     while !stop.load(Ordering::Relaxed) {
-        let utterance = &utterances[next % utterances.len()];
+        let body = parse_body(&utterances[next % utterances.len()]);
         next += 1;
         let start = Instant::now();
-        if writer
-            .write_all(raw_request("POST", "/v1/parse", &parse_body(utterance)).as_bytes())
-            .is_err()
-        {
+        if http::write_request(&mut writer, "POST", "/v1/parse", body.as_bytes(), true).is_err() {
             errors.fetch_add(1, Ordering::Relaxed);
             break;
         }
-        match read_response(&mut reader) {
-            Some(response) if response.status == 422 || (200..300).contains(&response.status) => {
+        match http::read_response(&mut reader, MAX_RESPONSE_BYTES) {
+            Ok(response) if response.status == 422 || (200..300).contains(&response.status) => {
                 micros.push(start.elapsed().as_secs_f64() * 1e6);
             }
-            Some(response) => {
+            Ok(response) => {
                 eprintln!(
                     "live-swap: request errored during swap: {} {}",
-                    response.status, response.body
+                    response.status,
+                    response.text()
                 );
                 errors.fetch_add(1, Ordering::Relaxed);
             }
-            None => {
+            Err(_) => {
                 eprintln!("live-swap: connection dropped during swap");
                 errors.fetch_add(1, Ordering::Relaxed);
                 break;
@@ -277,15 +207,6 @@ fn run_swap_client(
         }
     }
     micros
-}
-
-fn scrape_metric(text: &str, name: &str) -> u64 {
-    text.lines()
-        .find_map(|line| {
-            line.strip_prefix(name)
-                .map(|rest| rest.trim().parse().unwrap())
-        })
-        .unwrap_or_else(|| panic!("metric `{name}` missing"))
 }
 
 /// Expected `(utterance, status, body)` triples rendered in-process
@@ -407,40 +328,34 @@ fn main() {
     let mut reload_ms: Vec<f64> = Vec::new();
     for swap in 1..=swaps {
         let start = Instant::now();
-        let response = probe(
-            addr,
-            raw_request("POST", "/v1/admin/reload", &reload_body(swap)).as_bytes(),
-        )
-        .expect("reload response");
+        let response =
+            request(addr, "POST", "/v1/admin/reload", &reload_body(swap)).expect("reload response");
         reload_ms.push(start.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(
-            response.status, 200,
-            "reload {swap} failed: {}",
-            response.body
-        );
+        let body = response.text();
+        assert_eq!(response.status, 200, "reload {swap} failed: {body}");
+        let report = Json::parse(&body).expect("the reload report is JSON");
         let field = |name: &str| {
-            genie_bench::json_number(&response.body, name)
-                .unwrap_or_else(|| panic!("reload report lacks `{name}`: {}", response.body))
+            report
+                .get(name)
+                .and_then(Json::as_f64)
+                .unwrap_or_else(|| panic!("reload report lacks `{name}`: {body}"))
         };
         assert_eq!(
             field("world_version") as u64,
             1 + swap as u64,
-            "reload {swap} swapped the wrong version: {}",
-            response.body
+            "reload {swap} swapped the wrong version: {body}"
         );
-        let full_rebuild = response.body.contains("\"full_rebuild\": true");
+        let full_rebuild = report.get("full_rebuild").and_then(Json::as_bool) == Some(true);
         if swap == 1 {
             // The class add changes a pool length: full rebuild, by design.
             assert!(
                 full_rebuild,
-                "the class-adding swap must report a full rebuild: {}",
-                response.body
+                "the class-adding swap must report a full rebuild: {body}"
             );
         } else {
             assert!(
                 !full_rebuild && field("reused_batches") > 0.0,
-                "content-only swap {swap} must reuse memoized batches: {}",
-                response.body
+                "content-only swap {swap} must reuse memoized batches: {body}"
             );
         }
         if full_rebuild {
@@ -505,28 +420,25 @@ fn main() {
     println!("live-swap: post-swap responses byte-identical to a cold engine at the final library");
 
     // --- The serving metadata must agree on what just happened.
-    let version_body = probe(
-        addr,
-        b"GET /v1/admin/version HTTP/1.1\r\nHost: b\r\nConnection: close\r\n\r\n",
-    )
-    .expect("version response")
-    .body;
-    let reported_version =
-        genie_bench::json_number(&version_body, "world_version").expect("version field") as u64;
+    let version_body = request(addr, "GET", "/v1/admin/version", "")
+        .expect("version response")
+        .text()
+        .into_owned();
+    let reported_version = Json::parse(&version_body)
+        .ok()
+        .and_then(|version| version.get("world_version")?.as_f64())
+        .expect("version field") as u64;
     assert_eq!(
         reported_version,
         1 + swaps as u64,
         "GET /v1/admin/version disagrees: {version_body}"
     );
     let metrics = server.metrics_text();
-    assert_eq!(scrape_metric(&metrics, "world_version"), 1 + swaps as u64);
-    assert_eq!(scrape_metric(&metrics, "world_swaps_total"), swaps as u64);
-    assert_eq!(
-        scrape_metric(&metrics, "server_reload_ok_total"),
-        swaps as u64
-    );
-    assert_eq!(scrape_metric(&metrics, "server_reload_failed_total"), 0);
-    assert_eq!(scrape_metric(&metrics, "server_http_5xx_total"), 0);
+    assert_eq!(metric(&metrics, "world_version"), 1 + swaps as u64);
+    assert_eq!(metric(&metrics, "world_swaps_total"), swaps as u64);
+    assert_eq!(metric(&metrics, "server_reload_ok_total"), swaps as u64);
+    assert_eq!(metric(&metrics, "server_reload_failed_total"), 0);
+    assert_eq!(metric(&metrics, "server_http_5xx_total"), 0);
     println!("live-swap: /metrics and /v1/admin/version agree on world version {reported_version}");
 
     let config = json_object(&[

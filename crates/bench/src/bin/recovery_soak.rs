@@ -30,8 +30,6 @@
 //! `GENIE_BENCH_SMOKE=1` shrinks the workload to CI-smoke size.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,8 +38,9 @@ use genie::live::LiveWorld;
 use genie::paraphrase::ParaphraseConfig;
 use genie::pipeline::PipelineConfig;
 use genie::{RetrainMode, SkillDelta};
-use genie_bench::{flag_value, json_object, json_string};
+use genie_bench::{flag_value, json_object, metric, request};
 use genie_nlp::failpoint::{self, FaultPlan, SiteSpec};
+use genie_server::json::escape;
 use genie_server::{FollowerConfig, GenieServer, ServerConfig};
 use genie_templates::GeneratorConfig;
 use luinet::ModelConfig;
@@ -155,75 +154,6 @@ fn ledger_check(ledger: &mut HashMap<u64, u64>, version: u64, digest: u64) -> bo
             true
         }
     }
-}
-
-// --- A minimal blocking HTTP client (probe-grade: panics on wire noise) --
-
-struct Response {
-    status: u16,
-    body: String,
-}
-
-fn read_response<R: BufRead>(reader: &mut R) -> Response {
-    let mut status_line = String::new();
-    assert!(
-        reader.read_line(&mut status_line).expect("read status") > 0,
-        "unexpected EOF from server"
-    );
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .expect("malformed status line")
-        .parse()
-        .expect("numeric status");
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read header");
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().expect("numeric content-length");
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("read body");
-    Response {
-        status,
-        body: String::from_utf8(body).expect("UTF-8 body"),
-    }
-}
-
-fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("read timeout");
-    stream
-        .write_all(
-            format!(
-                "{method} {path} HTTP/1.1\r\nHost: soak\r\nContent-Type: application/json\r\n\
-                 Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                body.len(),
-            )
-            .as_bytes(),
-        )
-        .expect("send request");
-    read_response(&mut BufReader::new(stream))
-}
-
-fn metric(metrics_text: &str, name: &str) -> u64 {
-    metrics_text
-        .lines()
-        .find_map(|line| {
-            line.strip_prefix(name)
-                .and_then(|rest| rest.trim().parse().ok())
-        })
-        .unwrap_or_else(|| panic!("metric `{name}` missing"))
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -442,7 +372,8 @@ fn follower_storm(dir: &Path, seed: u64, storm_deltas: usize) -> Replication {
     let deadline = Instant::now() + Duration::from_secs(60);
     let mut degraded = false;
     while Instant::now() < deadline {
-        if request(follower_addr, "GET", "/readyz", "").status == 503 {
+        let readiness = request(follower_addr, "GET", "/readyz", "").expect("readiness probe");
+        if readiness.status == 503 {
             degraded = true;
             break;
         }
@@ -453,12 +384,14 @@ fn follower_storm(dir: &Path, seed: u64, storm_deltas: usize) -> Replication {
         "POST",
         "/v1/parse",
         "{\"utterance\": \"zz recovery soak zz\"}",
-    );
-    out.degraded_served = degraded && parse.status == 422 && parse.body.contains("\"error\"");
+    )
+    .expect("degraded parse");
+    out.degraded_served = degraded && parse.status == 422 && parse.text().contains("\"error\"");
     if !out.degraded_served {
         eprintln!(
             "recovery-soak: degraded serving failed (degraded={degraded}, parse {} {})",
-            parse.status, parse.body,
+            parse.status,
+            parse.text(),
         );
     }
     follower.shutdown();
@@ -505,12 +438,12 @@ fn main() {
     ];
 
     let report = json_object(&[
-        ("bench", json_string("recovery_soak")),
+        ("bench", escape("recovery_soak")),
         ("smoke", smoke.to_string()),
         (
             "config",
             json_object(&[
-                ("seed", json_string(&format!("{seed:#018x}"))),
+                ("seed", escape(&format!("{seed:#018x}"))),
                 ("rounds", rounds.to_string()),
                 ("deltas_per_round", deltas_per_round.to_string()),
                 ("storm_deltas", storm_deltas.to_string()),
@@ -518,7 +451,7 @@ fn main() {
         ),
         (
             "fault_schedule_digest",
-            json_string(&format!("{crash_digest:#018x}-{storm_digest:#018x}")),
+            escape(&format!("{crash_digest:#018x}-{storm_digest:#018x}")),
         ),
         (
             "crash_storm",

@@ -26,7 +26,7 @@
 //! flow); without it, a standalone report is written. `GENIE_BENCH_SMOKE=1`
 //! shrinks the workload to CI-smoke size.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,8 +36,11 @@ use genie::engine::{GenieEngine, ParseRequest};
 use genie::live::LiveWorld;
 use genie::paraphrase::ParaphraseConfig;
 use genie::pipeline::PipelineConfig;
-use genie_bench::{flag_value, json_object};
-use genie_server::{api, GenieServer, ServerConfig};
+use genie_bench::{
+    flag_value, json_object, metric, parse_body, quantile, request, send, training_commands,
+    MAX_RESPONSE_BYTES,
+};
+use genie_server::{api, http, GenieServer, ServerConfig};
 use genie_templates::GeneratorConfig;
 use luinet::ModelConfig;
 
@@ -88,33 +91,22 @@ fn train_engine(target_per_rule: usize) -> GenieEngine {
 /// Production-shaped workload: utterances from the training distribution,
 /// salted with empty utterances the engine must reject deterministically.
 fn workload(requests: usize, target_per_rule: usize) -> Vec<ParseRequest> {
-    let library = thingpedia::Thingpedia::builtin();
-    let pipeline = genie::DataPipeline::new(
-        &library,
-        PipelineConfig::builder()
-            .synthesis(
-                GeneratorConfig::builder()
-                    .target_per_rule(target_per_rule)
-                    .instantiations_per_template(1)
-                    .seed(7)
-                    .quiet(true)
-                    .build()
-                    .expect("valid synthesis config"),
-            )
-            .parameter_expansion(false)
-            .paraphrase_sample(0)
-            .seed(7)
-            .build()
-            .expect("valid pipeline config"),
-    );
-    let mut commands: Vec<String> = Vec::new();
-    pipeline
-        .run_streaming(genie::NnOptions::default(), |example| {
-            if commands.len() < 64 {
-                commands.push(example.sentence_text());
-            }
-        })
-        .expect("builtin pipeline streams");
+    let config = PipelineConfig::builder()
+        .synthesis(
+            GeneratorConfig::builder()
+                .target_per_rule(target_per_rule)
+                .instantiations_per_template(1)
+                .seed(7)
+                .quiet(true)
+                .build()
+                .expect("valid synthesis config"),
+        )
+        .parameter_expansion(false)
+        .paraphrase_sample(0)
+        .seed(7)
+        .build()
+        .expect("valid pipeline config");
+    let commands = training_commands(&config, 64);
     (0..requests)
         .map(|i| {
             if i % 16 == 15 {
@@ -124,62 +116,6 @@ fn workload(requests: usize, target_per_rule: usize) -> Vec<ParseRequest> {
             }
         })
         .collect()
-}
-
-// --- A minimal blocking HTTP client -----------------------------------
-
-struct Response {
-    status: u16,
-    body: String,
-}
-
-fn read_response<R: BufRead>(reader: &mut R) -> Option<Response> {
-    let mut status_line = String::new();
-    if reader.read_line(&mut status_line).ok()? == 0 {
-        return None;
-    }
-    let status: u16 = status_line.split_whitespace().nth(1)?.parse().ok()?;
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).ok()?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().ok()?;
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).ok()?;
-    Some(Response {
-        status,
-        body: String::from_utf8(body).ok()?,
-    })
-}
-
-fn raw_post(path: &str, body: &str) -> String {
-    format!(
-        "POST {path} HTTP/1.1\r\nHost: bench\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n{body}",
-        body.len(),
-    )
-}
-
-fn probe(addr: SocketAddr, wire: &[u8]) -> Option<Response> {
-    let mut stream = TcpStream::connect(addr).ok()?;
-    stream.write_all(wire).ok()?;
-    read_response(&mut BufReader::new(stream))
-}
-
-fn quantile(sorted_micros: &[f64], q: f64) -> f64 {
-    if sorted_micros.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_micros.len() - 1) as f64 * q).round() as usize;
-    sorted_micros[idx]
 }
 
 /// One client thread: serve its share of the workload over a keep-alive
@@ -193,18 +129,14 @@ fn run_client(
     let mut reader = BufReader::new(stream);
     let mut micros = Vec::with_capacity(jobs.len());
     for (utterance, expected_status, expected_body) in jobs {
-        let body = format!(
-            "{{\"utterance\": {}}}",
-            genie_server::json::escape(&utterance)
-        );
+        let body = parse_body(&utterance);
         let start = Instant::now();
-        writer
-            .write_all(raw_post("/v1/parse", &body).as_bytes())
+        http::write_request(&mut writer, "POST", "/v1/parse", body.as_bytes(), true)
             .expect("write request");
-        let response = read_response(&mut reader).expect("read response");
+        let response = http::read_response(&mut reader, MAX_RESPONSE_BYTES).expect("read response");
         micros.push(start.elapsed().as_secs_f64() * 1e6);
         assert_eq!(
-            (response.status, response.body.as_str()),
+            (response.status, &*response.text()),
             (expected_status, expected_body.as_str()),
             "socket response for `{utterance}` drifted from the in-process rendering"
         );
@@ -213,6 +145,12 @@ fn run_client(
 }
 
 fn assert_typed_4xx(addr: SocketAddr) {
+    let post = |body: &str| {
+        let mut wire = Vec::new();
+        http::write_request(&mut wire, "POST", "/v1/parse", body.as_bytes(), false)
+            .expect("write to a buffer");
+        wire
+    };
     let cases: Vec<(&str, Vec<u8>, u16, &str)> = vec![
         (
             "garbage request line",
@@ -232,15 +170,10 @@ fn assert_typed_4xx(addr: SocketAddr) {
             413,
             "payload_too_large",
         ),
-        (
-            "broken JSON",
-            raw_post("/v1/parse", "{not json").into_bytes(),
-            400,
-            "bad_request",
-        ),
+        ("broken JSON", post("{not json"), 400, "bad_request"),
         (
             "wrong field type",
-            raw_post("/v1/parse", "{\"utterance\": 7}").into_bytes(),
+            post("{\"utterance\": 7}"),
             400,
             "bad_request",
         ),
@@ -252,17 +185,17 @@ fn assert_typed_4xx(addr: SocketAddr) {
         ),
     ];
     for (name, wire, expected_status, expected_code) in cases {
-        let response =
-            probe(addr, &wire).unwrap_or_else(|| panic!("no response to malformed probe `{name}`"));
+        let response = send(addr, &wire)
+            .unwrap_or_else(|error| panic!("no response to malformed probe `{name}`: {error}"));
+        let body = response.text();
         assert_eq!(
             response.status, expected_status,
-            "probe `{name}` got status {} body {}",
-            response.status, response.body
+            "probe `{name}` got status {} body {body}",
+            response.status
         );
         assert!(
-            response.body.contains(expected_code),
-            "probe `{name}` body lacks code `{expected_code}`: {}",
-            response.body
+            body.contains(expected_code),
+            "probe `{name}` body lacks code `{expected_code}`: {body}"
         );
     }
     println!("serving-e2e: all malformed probes answered with typed 4xx");
@@ -344,28 +277,24 @@ fn swap_tail_latency(clients: usize, utterances: &[String]) -> (f64, usize, usiz
                 let mut micros = Vec::new();
                 let mut next = 0usize;
                 while !stop.load(Ordering::Relaxed) {
-                    let body = format!(
-                        "{{\"utterance\": {}}}",
-                        genie_server::json::escape(&jobs[next % jobs.len()])
-                    );
+                    let body = parse_body(&jobs[next % jobs.len()]);
                     next += 1;
                     let start = Instant::now();
-                    if writer
-                        .write_all(raw_post("/v1/parse", &body).as_bytes())
+                    if http::write_request(&mut writer, "POST", "/v1/parse", body.as_bytes(), true)
                         .is_err()
                     {
                         errors.fetch_add(1, Ordering::Relaxed);
                         break;
                     }
-                    match read_response(&mut reader) {
-                        Some(r) if r.status == 422 || (200..300).contains(&r.status) => {
+                    match http::read_response(&mut reader, MAX_RESPONSE_BYTES) {
+                        Ok(r) if r.status == 422 || (200..300).contains(&r.status) => {
                             micros.push(start.elapsed().as_secs_f64() * 1e6);
                         }
-                        Some(r) => {
-                            eprintln!("serving-e2e: {} during swap: {}", r.status, r.body);
+                        Ok(r) => {
+                            eprintln!("serving-e2e: {} during swap: {}", r.status, r.text());
                             errors.fetch_add(1, Ordering::Relaxed);
                         }
-                        None => {
+                        Err(_) => {
                             eprintln!("serving-e2e: connection dropped during swap");
                             errors.fetch_add(1, Ordering::Relaxed);
                             break;
@@ -391,12 +320,12 @@ fn swap_tail_latency(clients: usize, utterances: &[String]) -> (f64, usize, usiz
             genie_server::json::escape(class),
             genie_server::json::escape(&format!("swap the bench lights $power v{swap}")),
         );
-        let response =
-            probe(addr, raw_post("/v1/admin/reload", &body).as_bytes()).expect("reload response");
+        let response = request(addr, "POST", "/v1/admin/reload", &body).expect("reload response");
         assert_eq!(
-            response.status, 200,
+            response.status,
+            200,
             "live reload {swap} failed: {}",
-            response.body
+            response.text()
         );
     }
     stop.store(true, Ordering::Relaxed);
@@ -413,15 +342,6 @@ fn swap_tail_latency(clients: usize, utterances: &[String]) -> (f64, usize, usiz
     let p99 = quantile(&micros, 0.99);
     server.shutdown();
     (p99, micros.len(), reloads)
-}
-
-fn scrape_metric(text: &str, name: &str) -> u64 {
-    text.lines()
-        .find_map(|line| {
-            line.strip_prefix(name)
-                .map(|rest| rest.trim().parse().unwrap())
-        })
-        .unwrap_or_else(|| panic!("metric `{name}` missing"))
 }
 
 fn main() {
@@ -520,14 +440,14 @@ fn main() {
     );
 
     let metrics = server.metrics_text();
-    let coalesced = scrape_metric(&metrics, "server_coalesced_requests_total");
+    let coalesced = metric(&metrics, "server_coalesced_requests_total");
     assert_eq!(
         coalesced,
         (passes * expected.len()) as u64,
         "every single-request parse must flow through the coalescer"
     );
-    let batches = scrape_metric(&metrics, "server_coalesce_batches_total");
-    let max_batch = scrape_metric(&metrics, "server_coalesce_max_batch");
+    let batches = metric(&metrics, "server_coalesce_batches_total");
+    let max_batch = metric(&metrics, "server_coalesce_max_batch");
     println!(
         "serving-e2e: {coalesced} requests coalesced into {batches} micro-batches \
          (largest {max_batch})"

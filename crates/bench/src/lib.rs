@@ -1,10 +1,17 @@
 //! Support library for the experiment binaries and Criterion benches:
 //! command-line scale parsing, fixed-width table printing (so every binary
 //! prints its figure/table in a consistent format recorded in
-//! EXPERIMENTS.md), and the process-level perf probes behind
-//! `BENCH_synthesis.json`.
+//! EXPERIMENTS.md), the process-level perf probes behind
+//! `BENCH_synthesis.json`, and the one socket client the serving benches
+//! and the socket integration tests share.
+
+use std::io::{BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 use genie::experiments::ExperimentScale;
+use genie::pipeline::PipelineConfig;
+use genie_server::http::{self, HttpError, Response};
 
 /// Parse the experiment scale from the command line.
 ///
@@ -107,8 +114,10 @@ fn proc_status_kb(field: &str) -> Option<u64> {
 
 /// Render a flat list of key/value pairs as a JSON object string. Values
 /// are emitted verbatim, so callers pass pre-rendered JSON (numbers,
-/// strings with quotes, nested arrays). The vendored `serde` stand-in has
-/// no serializer, hence this tiny hand-rolled emitter.
+/// strings quoted with [`genie_server::json::escape`], nested objects).
+/// The reports are flat, fixed-key records, so string assembly is all the
+/// emitter they need; reading them back goes through
+/// [`genie_server::json::Json`].
 pub fn json_object(pairs: &[(&str, String)]) -> String {
     let body: Vec<String> = pairs
         .iter()
@@ -117,63 +126,91 @@ pub fn json_object(pairs: &[(&str, String)]) -> String {
     format!("{{{}}}", body.join(", "))
 }
 
-/// Quote and escape a string for JSON output.
-pub fn json_string(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// Largest response body the shared client accepts.
+pub const MAX_RESPONSE_BYTES: usize = 64 << 20;
+
+/// How long the shared client waits for a response before giving up with
+/// a typed timeout instead of hanging the caller.
+const RESPONSE_TIMEOUT: Duration = Duration::from_secs(300);
+
+/// Connect to `addr`, send `wire` verbatim, and read one response through
+/// the server's own codec ([`http::read_response`]). Callers probing with
+/// deliberately malformed bytes use this directly; well-formed requests
+/// go through [`request`].
+pub fn send(addr: SocketAddr, wire: &[u8]) -> Result<Response, HttpError> {
+    let mut stream = TcpStream::connect(addr).map_err(HttpError::Io)?;
+    stream
+        .set_read_timeout(Some(RESPONSE_TIMEOUT))
+        .map_err(HttpError::Io)?;
+    stream.write_all(wire).map_err(HttpError::Io)?;
+    http::read_response(&mut BufReader::new(stream), MAX_RESPONSE_BYTES)
 }
 
-/// Extract the raw value of a top-level `"key": value` pair from a JSON
-/// object rendered by [`json_object`] — the read-side twin of that
-/// emitter, not a general JSON parser (the vendored `serde` stand-in has no
-/// deserializer either). Returns the value text verbatim: numbers and
-/// `true`/`null` as written, strings with their quotes, nested
-/// objects/arrays whole. The multi-process bench parent uses this to fold
-/// per-worker numbers out of child report lines.
-pub fn json_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\": ");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (at, c) in rest.char_indices() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
+/// One `Connection: close` request on a fresh connection, framed by
+/// [`http::write_request`].
+pub fn request(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> Result<Response, HttpError> {
+    let mut wire = Vec::new();
+    http::write_request(&mut wire, method, path, body.as_bytes(), false).map_err(HttpError::Io)?;
+    send(addr, &wire)
+}
+
+/// The `POST /v1/parse` body for `utterance`.
+pub fn parse_body(utterance: &str) -> String {
+    format!(
+        "{{\"utterance\": {}}}",
+        genie_server::json::escape(utterance)
+    )
+}
+
+/// The value of the `/metrics` line named exactly `name`.
+///
+/// # Panics
+///
+/// When no such line exists, printing the whole scrape.
+pub fn metric(metrics_text: &str, name: &str) -> u64 {
+    metrics_text
+        .lines()
+        .find_map(|line| {
+            let (key, value) = line.split_once(' ')?;
+            if key == name {
+                value.trim().parse().ok()
+            } else {
+                None
             }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '[' | '{' => depth += 1,
-            ']' | '}' | ',' if depth == 0 => return Some(rest[..at].trim()),
-            ']' | '}' => depth -= 1,
-            _ => {}
-        }
-    }
-    Some(rest.trim())
+        })
+        .unwrap_or_else(|| panic!("metric `{name}` missing from:\n{metrics_text}"))
 }
 
-/// [`json_field`], parsed as an `f64` (numbers only).
-pub fn json_number(json: &str, key: &str) -> Option<f64> {
-    json_field(json, key)?.parse().ok()
+/// The `q`-quantile of an ascending slice by nearest rank (`0.0` when
+/// empty). The rounding is the one every committed `BENCH_*.json` latency
+/// was computed with.
+pub fn quantile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
+    sorted[idx]
+}
+
+/// The first `n` distinct commands `config` streams over the builtin
+/// library — the training-distribution utterances the serving benches
+/// replay.
+pub fn training_commands(config: &PipelineConfig, n: usize) -> Vec<String> {
+    let library = thingpedia::Thingpedia::builtin();
+    let mut commands: Vec<String> = Vec::with_capacity(n);
+    genie::DataPipeline::new(&library, *config)
+        .run_streaming(genie::NnOptions::default(), |example| {
+            if commands.len() < n {
+                commands.push(example.sentence_text());
+            }
+        })
+        .expect("builtin pipeline streams");
+    commands
 }
 
 /// Render a percentage with one decimal.
@@ -246,33 +283,50 @@ mod tests {
     }
 
     #[test]
-    fn json_emission_escapes_and_nests() {
-        let object = json_object(&[
-            ("count", "3".to_owned()),
-            ("label", json_string("a \"b\"\nc")),
-        ]);
-        assert_eq!(object, "{\"count\": 3, \"label\": \"a \\\"b\\\"\\nc\"}");
-    }
-
-    #[test]
-    fn json_field_extraction_inverts_the_emitter() {
+    fn json_emission_round_trips_through_the_server_parser() {
+        use genie_server::json::{escape, Json};
         let object = json_object(&[
             ("count", "3".to_owned()),
             ("rate", "125.5".to_owned()),
-            ("label", json_string("a, \"b\"} c")),
+            ("label", escape("a, \"b\"} c\n")),
             ("workers", "[{\"n\": 1}, {\"n\": 2}]".to_owned()),
-            ("tail", "true".to_owned()),
         ]);
-        assert_eq!(json_field(&object, "count"), Some("3"));
-        assert_eq!(json_number(&object, "rate"), Some(125.5));
-        assert_eq!(json_field(&object, "label"), Some("\"a, \\\"b\\\"} c\""));
         assert_eq!(
-            json_field(&object, "workers"),
-            Some("[{\"n\": 1}, {\"n\": 2}]")
+            object,
+            "{\"count\": 3, \"rate\": 125.5, \"label\": \"a, \\\"b\\\"} c\\n\", \
+             \"workers\": [{\"n\": 1}, {\"n\": 2}]}"
         );
-        assert_eq!(json_field(&object, "tail"), Some("true"));
-        assert_eq!(json_field(&object, "missing"), None);
-        assert_eq!(json_number(&object, "label"), None);
+        let parsed = Json::parse(&object).unwrap();
+        assert_eq!(parsed.get("rate").and_then(Json::as_f64), Some(125.5));
+        assert_eq!(
+            parsed.get("label").and_then(Json::as_str),
+            Some("a, \"b\"} c\n")
+        );
+        assert_eq!(
+            parsed
+                .get("workers")
+                .and_then(Json::as_array)
+                .map(<[Json]>::len),
+            Some(2)
+        );
+        assert_eq!(parsed.get("missing"), None);
+    }
+
+    #[test]
+    fn quantile_rounds_to_the_nearest_rank() {
+        let sorted = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(quantile(&sorted, 0.5), 3.0);
+        assert_eq!(quantile(&sorted, 0.99), 5.0);
+        assert_eq!(quantile(&sorted, 0.6), 3.0);
+        assert_eq!(quantile(&sorted[..4], 0.5), 3.0);
+        assert_eq!(quantile(&[], 0.5), 0.0);
+    }
+
+    #[test]
+    fn metric_matches_whole_names_only() {
+        let text = "server_replication_lag_max 9\nserver_replication_lag 2\n";
+        assert_eq!(metric(text, "server_replication_lag"), 2);
+        assert_eq!(metric(text, "server_replication_lag_max"), 9);
     }
 
     #[test]

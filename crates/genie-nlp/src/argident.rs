@@ -13,10 +13,8 @@
 //! is applied to the program tokens so that the model learns to emit
 //! `NUMBER_0` instead of the literal number.
 
-use serde::{Deserialize, Serialize};
-
 /// The normalized value of an identified argument span.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArgumentValue {
     /// A plain number.
     Number(f64),
@@ -67,7 +65,7 @@ impl ArgumentValue {
 }
 
 /// An identified span: which placeholder replaced it and its value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArgumentSpan {
     /// The placeholder token (`NUMBER_0`, `DATE_1`, …).
     pub placeholder: String,
@@ -78,7 +76,7 @@ pub struct ArgumentSpan {
 }
 
 /// The result of preprocessing a sentence.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Preprocessed {
     /// The sentence tokens with identified spans replaced by placeholders.
     pub tokens: Vec<String>,

@@ -30,7 +30,7 @@
 //! so load balancers route around it. The first successful poll restores
 //! readiness.
 
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -433,8 +433,7 @@ fn http_get(
     stream.set_read_timeout(Some(timeout)).map_err(transport)?;
     stream.set_write_timeout(Some(timeout)).map_err(transport)?;
     let _ = stream.set_nodelay(true);
-    let request = format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    stream.write_all(request.as_bytes()).map_err(transport)?;
+    http::write_request(&mut stream, "GET", path, b"", false).map_err(transport)?;
     let mut reader = BufReader::new(stream);
     http::read_response(&mut reader, max_body_bytes).map_err(PollError::Transport)
 }

@@ -60,7 +60,8 @@ pub enum HttpError {
     Timeout,
     /// The peer went idle between keep-alive requests; close quietly.
     IdleTimeout,
-    /// The peer closed the connection cleanly before a request started.
+    /// The peer closed the connection cleanly before a request (or, on the
+    /// client side, a response) started.
     Closed,
     /// A transport error; close quietly.
     Io(std::io::Error),
@@ -292,25 +293,45 @@ pub fn read_request<R: BufRead>(
 }
 
 /// One parsed response — the *client* side of the codec, used by the
-/// follower's replication poller against a primary.
+/// follower's replication poller against a primary and by every test and
+/// bench client.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// The status code from the status line.
     pub status: u16,
+    /// The headers in wire order, names and values trimmed (at most
+    /// [`MAX_HEADERS`]).
+    pub headers: Vec<(String, String)>,
     /// The body, exactly `Content-Length` bytes.
     pub body: Vec<u8>,
+}
+
+impl Response {
+    /// The first header named `name`, compared case-insensitively.
+    pub fn header(&self, name: &str) -> Option<&str> {
+        self.headers
+            .iter()
+            .find(|(candidate, _)| candidate.eq_ignore_ascii_case(name))
+            .map(|(_, value)| value.as_str())
+    }
+
+    /// The body as text; invalid UTF-8 shows as replacement characters.
+    pub fn text(&self) -> std::borrow::Cow<'_, str> {
+        String::from_utf8_lossy(&self.body)
+    }
 }
 
 /// Read one response from `reader`, enforcing the same line/header limits
 /// as [`read_request`] and capping the body at `max_body_bytes`. The
 /// server end of this codec always frames with `Content-Length`, so a
-/// short read is a typed error, never a silent truncation.
+/// short read is a typed error, never a silent truncation. A peer that
+/// closes before the status line is [`HttpError::Closed`].
 pub fn read_response<R: BufRead>(
     reader: &mut R,
     max_body_bytes: usize,
 ) -> Result<Response, HttpError> {
-    let status_line = read_line_limited(reader, MAX_REQUEST_LINE_BYTES, false)?
-        .ok_or_else(|| HttpError::BadRequest("stream closed before a status line".into()))?;
+    let status_line =
+        read_line_limited(reader, MAX_REQUEST_LINE_BYTES, false)?.ok_or(HttpError::Closed)?;
     let mut parts = status_line.split(' ').filter(|p| !p.is_empty());
     let status: u16 = match (parts.next(), parts.next()) {
         (Some(version), Some(code)) if version.starts_with("HTTP/1.") => {
@@ -326,28 +347,33 @@ pub fn read_response<R: BufRead>(
         }
     };
     let mut content_length: Option<usize> = None;
-    let mut headers_seen = 0usize;
+    let mut headers = Vec::new();
     loop {
         let line = read_line_limited(reader, MAX_HEADER_LINE_BYTES, true)?
             .ok_or_else(|| HttpError::BadRequest("stream ended inside headers".into()))?;
         if line.is_empty() {
             break;
         }
-        headers_seen += 1;
-        if headers_seen > MAX_HEADERS {
+        if headers.len() == MAX_HEADERS {
             return Err(HttpError::BadRequest("too many headers".into()));
         }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                let length: usize = value.trim().parse().map_err(|_| {
-                    HttpError::BadRequest(format!(
-                        "unparseable Content-Length `{}`",
-                        value.trim().escape_debug()
-                    ))
-                })?;
-                content_length = Some(length);
-            }
+        let Some((name, value)) = line.split_once(':') else {
+            return Err(HttpError::BadRequest(format!(
+                "malformed header: `{}`",
+                line.escape_debug()
+            )));
+        };
+        let (name, value) = (name.trim(), value.trim());
+        if name.eq_ignore_ascii_case("content-length") {
+            let length: usize = value.parse().map_err(|_| {
+                HttpError::BadRequest(format!(
+                    "unparseable Content-Length `{}`",
+                    value.escape_debug()
+                ))
+            })?;
+            content_length = Some(length);
         }
+        headers.push((name.to_owned(), value.to_owned()));
     }
     let declared = content_length
         .ok_or_else(|| HttpError::BadRequest("response without Content-Length".into()))?;
@@ -372,7 +398,33 @@ pub fn read_response<R: BufRead>(
             Err(error) => return Err(HttpError::Io(error)),
         }
     }
-    Ok(Response { status, body })
+    Ok(Response {
+        status,
+        headers,
+        body,
+    })
+}
+
+/// Write one request, always framed with `Content-Length` (zero for an
+/// empty body) — the client twin of [`write_response`]. Head and body go
+/// out in one write, so a client without `TCP_NODELAY` never stalls on
+/// Nagle's algorithm between them.
+pub fn write_request<W: Write>(
+    writer: &mut W,
+    method: &str,
+    path: &str,
+    body: &[u8],
+    keep_alive: bool,
+) -> std::io::Result<()> {
+    let mut wire = format!(
+        "{method} {path} HTTP/1.1\r\nHost: genie\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
+        body.len(),
+        if keep_alive { "keep-alive" } else { "close" },
+    )
+    .into_bytes();
+    wire.extend_from_slice(body);
+    writer.write_all(&wire)?;
+    writer.flush()
 }
 
 /// Write one response. The body is always fully framed with
@@ -584,6 +636,37 @@ mod tests {
         assert_eq!(second.method, "GET");
         assert_eq!(second.path, "/metrics");
         assert!(read_request(&mut reader, 1024).unwrap().is_none());
+
+        // The client writer's output parses back through the server reader.
+        let mut wire = Vec::new();
+        write_request(
+            &mut wire,
+            "POST",
+            "/v1/parse",
+            b"{\"utterance\": \"hi\"}",
+            true,
+        )
+        .unwrap();
+        write_request(&mut wire, "GET", "/metrics", b"", false).unwrap();
+        let mut reader = BufReader::new(&wire[..]);
+        let first = read_request(&mut reader, 1024).unwrap().unwrap();
+        assert_eq!(
+            first,
+            Request {
+                method: "POST".to_owned(),
+                path: "/v1/parse".to_owned(),
+                body: b"{\"utterance\": \"hi\"}".to_vec(),
+                keep_alive: true,
+            }
+        );
+        let second = read_request(&mut reader, 1024).unwrap().unwrap();
+        assert_eq!(
+            (second.method.as_str(), second.path.as_str()),
+            ("GET", "/metrics")
+        );
+        assert!(second.body.is_empty());
+        assert!(!second.keep_alive);
+        assert!(read_request(&mut reader, 1024).unwrap().is_none());
     }
 
     #[test]
@@ -596,12 +679,43 @@ mod tests {
             "application/json",
             b"{\"degraded\": true}",
             false,
-            &[],
+            &[
+                ("Retry-After", "2".to_owned()),
+                ("Allow", "GET, POST".to_owned()),
+            ],
         )
         .unwrap();
         let response = read_response(&mut BufReader::new(&wire[..]), 1024).unwrap();
         assert_eq!(response.status, 503);
         assert_eq!(response.body, b"{\"degraded\": true}");
+        assert_eq!(response.text(), "{\"degraded\": true}");
+        assert_eq!(response.header("Retry-After"), Some("2"));
+        assert_eq!(response.header("Allow"), Some("GET, POST"));
+        // Header lookup ignores case.
+        assert_eq!(response.header("retry-after"), Some("2"));
+        assert_eq!(response.header("CONTENT-LENGTH"), Some("18"));
+        assert_eq!(response.header("connection"), Some("close"));
+        assert_eq!(response.header("X-Missing"), None);
+
+        // Too many headers, a header without a colon, and a stream closed
+        // before the status line are typed errors too.
+        let many_headers = format!(
+            "HTTP/1.1 200 OK\r\n{}Content-Length: 0\r\n\r\n",
+            "X-H: v\r\n".repeat(MAX_HEADERS)
+        );
+        assert!(matches!(
+            read_response(&mut BufReader::new(many_headers.as_bytes()), 1024),
+            Err(HttpError::BadRequest(_))
+        ));
+        let colonless = b"HTTP/1.1 200 OK\r\nno colon here\r\nContent-Length: 0\r\n\r\n";
+        assert!(matches!(
+            read_response(&mut BufReader::new(&colonless[..]), 1024),
+            Err(HttpError::BadRequest(_))
+        ));
+        assert!(matches!(
+            read_response(&mut BufReader::new(&b""[..]), 1024),
+            Err(HttpError::Closed)
+        ));
 
         // Oversized and truncated bodies are typed errors.
         let oversized = b"HTTP/1.1 200 OK\r\nContent-Length: 99999\r\n\r\n";

@@ -1,9 +1,10 @@
 //! A minimal JSON value: parser and string escaping.
 //!
-//! The container this workspace builds in has no crates.io access and the
-//! vendored `serde` stand-in has neither a serializer nor a deserializer,
-//! so the server hand-rolls the little JSON it needs — the same decision
-//! the bench layer made with `genie_bench::json_object`. The parser is a
+//! The workspace builds offline with no external JSON crate, and the API
+//! speaks a handful of small, fixed request and response shapes, so the
+//! server hand-rolls the little JSON it needs. This module is the one JSON
+//! codec of the workspace: the benches and tests read responses and
+//! reports through [`Json`] and quote strings with [`escape`]. The parser is a
 //! bounds-checked recursive descent over untrusted request bytes: depth is
 //! capped (a `[[[[…` bomb cannot blow the stack), every error is a typed
 //! [`JsonError`] with a byte offset, and input size is already capped by

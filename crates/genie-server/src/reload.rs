@@ -224,10 +224,87 @@ fn runner_loop(shared: &RunnerShared, receiver: &mpsc::Receiver<ReloadJob>) {
                 last.error = Some(error.to_string());
             }
         }
+        // Clear both flags before replying: a waiting caller that submits
+        // its next reload the moment this one returns must find the runner
+        // idle, not a spurious `Busy`.
+        shared.running.store(false, Ordering::Release);
+        shared.busy.store(false, Ordering::Release);
         if let Some(reply) = job.reply {
             let _ = reply.send(outcome);
         }
-        shared.running.store(false, Ordering::Release);
-        shared.busy.store(false, Ordering::Release);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use genie::pipeline::PipelineConfig;
+    use genie_templates::GeneratorConfig;
+    use luinet::ModelConfig;
+    use thingpedia::{PhraseCategory, PrimitiveTemplate, Thingpedia};
+
+    fn tiny_world() -> Arc<LiveWorld> {
+        let pipeline = PipelineConfig::builder()
+            .synthesis(
+                GeneratorConfig::builder()
+                    .target_per_rule(2)
+                    .max_depth(3)
+                    .instantiations_per_template(1)
+                    .seed(3)
+                    .threads(1)
+                    .quiet(true)
+                    .build()
+                    .unwrap(),
+            )
+            .paraphrase_sample(0)
+            .parameter_expansion(false)
+            .seed(3)
+            .build()
+            .unwrap();
+        let model = ModelConfig {
+            epochs: 1,
+            seed: 3,
+            threads: 1,
+            ..ModelConfig::default()
+        };
+        Arc::new(LiveWorld::bootstrap(Thingpedia::builtin(), pipeline, model).unwrap())
+    }
+
+    fn lights_delta(round: usize) -> SkillDelta {
+        let class = thingtalk::syntax::parse_class(
+            "class @com.test.lights { action set_power(in req power : Enum(on, off)); }",
+        )
+        .unwrap();
+        let template = PrimitiveTemplate::new(
+            &class.name,
+            "set_power",
+            PhraseCategory::VerbPhrase,
+            format!("flip the test lights $power v{round}"),
+        );
+        SkillDelta::Upsert {
+            class,
+            templates: vec![template],
+        }
+    }
+
+    #[test]
+    fn a_waited_reload_leaves_the_runner_idle_before_it_returns() {
+        let live = tiny_world();
+        let runner = ReloadRunner::start(live.clone(), Arc::new(Metrics::default())).unwrap();
+        for round in 0..20 {
+            match runner.submit(lights_delta(round), RetrainMode::Full, true) {
+                ReloadSubmit::Done(outcome) => {
+                    outcome.unwrap();
+                }
+                ReloadSubmit::Busy => panic!("back-to-back reload {round} answered Busy"),
+                _ => panic!("reload {round} was not run to completion"),
+            }
+            let status = runner.render_status();
+            assert!(
+                status.contains("\"state\": \"idle\""),
+                "reload {round} returned before the runner went idle: {status}"
+            );
+        }
+        assert_eq!(live.version(), 21);
     }
 }

@@ -7,10 +7,8 @@
 //! `$np`, `$vp`, `$wp`, `$pred`, `$time`, `$interval` slots; the semantic
 //! function that builds the program lives in the generator.
 
-use serde::{Deserialize, Serialize};
-
 /// The kinds of construct templates supported by the generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConstructKind {
     /// `now => query => notify` from a noun phrase ("show me $np").
     GetNotify,

@@ -1,14 +1,12 @@
 //! Synthesized (utterance, program) pairs.
 
-use serde::{Deserialize, Serialize};
-
 use thingtalk::Program;
 
 use crate::intern::{Interner, TokenStream};
 
 /// Structural flags of a synthesized example, used to report the dataset
 /// characteristics of Fig. 7 and to stratify sampling for paraphrasing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExampleFlags {
     /// Uses exactly one skill function.
     pub primitive: bool,

@@ -12,14 +12,13 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use serde::{Deserialize, Serialize};
 use thingtalk::typecheck::SchemaRegistry;
 
 use crate::dataset::Example;
 
 /// One crowdsource task: a synthesized sentence shown to `assignments`
 /// distinct workers, each asked for `paraphrases_per_worker` paraphrases.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrowdTask {
     /// The synthesized sentence the worker sees.
     pub sentence: String,
@@ -31,7 +30,7 @@ pub struct CrowdTask {
 }
 
 /// A batch of crowdsource tasks (one MTurk HIT group).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CrowdBatch {
     /// The tasks in the batch.
     pub tasks: Vec<CrowdTask>,

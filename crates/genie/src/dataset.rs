@@ -7,8 +7,6 @@ use std::fs::{self, File};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize};
-
 use genie_nlp::colfmt::{
     self, ColumnShard, ColumnShardWriter, LoadedTable, StringTable, SHARD_MAGIC,
 };
@@ -20,7 +18,7 @@ use thingtalk::Program;
 use crate::error::{Error, GenieResult};
 
 /// Where an example came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExampleSource {
     /// Produced directly by the template synthesizer.
     Synthesized,
@@ -115,7 +113,7 @@ impl Example {
 }
 
 /// The composition of a dataset, as reported in Fig. 7.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Composition {
     /// Primitive commands without filters.
     pub primitive: usize,
@@ -158,7 +156,7 @@ impl Composition {
 }
 
 /// A collection of examples with dataset-level statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dataset {
     /// The examples.
     pub examples: Vec<Example>,

@@ -7,8 +7,6 @@
 //! type-correct, identifies primitive vs. compound correctly, names the
 //! right skills, and names the right functions.
 
-use serde::{Deserialize, Serialize};
-
 use thingtalk::canonical::canonicalized;
 use thingtalk::nn_syntax::from_tokens;
 use thingtalk::typecheck::{typecheck, SchemaRegistry};
@@ -16,7 +14,7 @@ use thingtalk::typecheck::{typecheck, SchemaRegistry};
 use crate::dataset::Example;
 
 /// Aggregate evaluation metrics over a test set.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EvalResult {
     /// Number of evaluated sentences.
     pub count: usize,
@@ -120,7 +118,7 @@ pub fn evaluate<R: SchemaRegistry + ?Sized>(
 
 /// Mean, minimum and maximum of a set of accuracy values, used for the error
 /// bars of Fig. 8 / Fig. 9 and the ± column of Table 3.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AccuracySummary {
     /// Mean accuracy.
     pub mean: f64,

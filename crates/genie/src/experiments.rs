@@ -3,8 +3,6 @@
 //! with the default scale and print the results; the integration tests call
 //! them with [`ExperimentScale::tiny`] to keep CI fast.
 
-use serde::{Deserialize, Serialize};
-
 use genie_templates::{construct_template_counts, GeneratorConfig};
 use luinet::{BaselineParser, LuinetParser, ModelConfig, ParserExample};
 use thingpedia::Thingpedia;
@@ -218,7 +216,7 @@ fn run_once(
 // ---------------------------------------------------------------------------
 
 /// One bar group of Fig. 8.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Row {
     /// Training strategy label.
     pub strategy: String,
@@ -284,7 +282,7 @@ pub fn training_strategies(
 // ---------------------------------------------------------------------------
 
 /// One row of Table 3.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table3Row {
     /// Row label ("Genie", "− canonicalization", …).
     pub name: String,
@@ -411,7 +409,7 @@ pub fn ablation(library: &Thingpedia, scale: ExperimentScale) -> GenieResult<Vec
 // ---------------------------------------------------------------------------
 
 /// One bar group of Fig. 9.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Row {
     /// Case-study label (Spotify, TACL, TT+A).
     pub case_study: String,
@@ -699,7 +697,7 @@ fn aggregation_case_study(scale: ExperimentScale) -> GenieResult<Fig9Row> {
 // ---------------------------------------------------------------------------
 
 /// Dataset statistics reported in §5.2 and Fig. 7.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DatasetStats {
     /// Fig. 7 composition of the combined training set.
     pub composition: Composition,

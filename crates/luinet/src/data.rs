@@ -1,7 +1,6 @@
 //! Training and evaluation examples for the parser.
 
 use genie_nlp::intern::TokenStream;
-use serde::{Deserialize, Serialize};
 
 /// One (sentence, program) pair.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// NN syntax (`thingtalk::nn_syntax`). Keeping the sentence interned means
 /// the pipeline hands examples to training and to the TSV writers without
 /// ever materializing per-sentence `Vec<String>`s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParserExample {
     /// The input sentence tokens.
     pub sentence: TokenStream,

@@ -7,13 +7,12 @@
 //! templates with construct templates to synthesize full sentences and
 //! programs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use thingtalk::Value;
 
 /// The grammar category of a primitive template's utterance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhraseCategory {
     /// A noun phrase describing the data a query returns ("my dropbox
     /// files", "the latest xkcd comic"). Noun phrases compose as input
@@ -49,7 +48,7 @@ impl fmt::Display for PhraseCategory {
 /// The utterance may contain `$name` placeholders; each placeholder refers
 /// to an input parameter of the function and will be filled with a sampled
 /// value (or left as a slot) during synthesis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrimitiveTemplate {
     /// The skill class, e.g. `com.dropbox`.
     pub class: String,

@@ -18,14 +18,13 @@
 //! actually shared (copy-on-write), so `&mut` traversals like
 //! [`Program::invocations_mut`] keep working unchanged for callers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 use crate::value::Value;
 
 /// A reference to a skill-library function: class name + function name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FunctionRef {
     /// The class (skill) name, e.g. `com.twitter`.
     pub class: String,
@@ -60,7 +59,7 @@ impl fmt::Display for FunctionRef {
 }
 
 /// A keyword input-parameter binding `name = value` in a function invocation.
-#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct InputParam {
     /// The input parameter name.
     pub name: String,
@@ -86,7 +85,7 @@ impl fmt::Display for InputParam {
 }
 
 /// An invocation of a skill-library function with keyword parameters.
-#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Invocation {
     /// The invoked function.
     pub function: FunctionRef,
@@ -134,7 +133,7 @@ impl fmt::Display for Invocation {
 }
 
 /// Comparison and containment operators usable in filter predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum CompareOp {
     Eq,
@@ -210,7 +209,7 @@ impl fmt::Display for CompareOp {
 }
 
 /// A boolean predicate over the output parameters of a query (Fig. 5).
-#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Predicate {
     /// Always true.
     True,
@@ -327,7 +326,7 @@ impl fmt::Display for Predicate {
 }
 
 /// Aggregation operators of the TT+A extension (§6.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum AggregationOp {
     Max,
@@ -369,7 +368,7 @@ impl fmt::Display for AggregationOp {
 }
 
 /// A parameter-passing clause in a join: `on (input = output)`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct JoinParam {
     /// The input parameter of the right-hand query.
     pub input: String,
@@ -387,7 +386,7 @@ impl fmt::Display for JoinParam {
 ///
 /// Subqueries are [`Arc`]-shared: wrapping an existing query in a filter,
 /// join, or aggregation does not clone it.
-#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Query {
     /// A direct function invocation.
     Invocation(Invocation),
@@ -565,7 +564,7 @@ impl fmt::Display for Query {
 ///
 /// Monitored queries and edge-filtered streams are [`Arc`]-shared, like
 /// [`Query`] subtrees.
-#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Stream {
     /// The degenerate stream `now`, which triggers the program once
     /// immediately.
@@ -661,7 +660,7 @@ impl fmt::Display for Stream {
 ///
 /// The invocation is [`Arc`]-shared so the same instantiated action phrase
 /// can appear in many synthesized programs without cloning.
-#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Action {
     /// Present the result to the user.
     Notify,
@@ -718,7 +717,7 @@ impl fmt::Display for Action {
 /// assert!(program.is_compound());
 /// assert!(program.uses_param_passing());
 /// ```
-#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Program {
     /// The stream clause.
     pub stream: Stream,

@@ -6,7 +6,6 @@
 //! effects and no output parameters. Data flows in and out of functions
 //! through named, typed parameters declared `in req`, `in opt`, or `out`.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -14,7 +13,7 @@ use crate::error::{Error, Result};
 use crate::types::Type;
 
 /// The direction and requiredness of a function parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParamDirection {
     /// A required input parameter (`in req`).
     InReq,
@@ -46,7 +45,7 @@ impl ParamDirection {
 }
 
 /// A parameter declaration in a function signature.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParamDef {
     /// The parameter name. The paper encourages consistent naming across
     /// functions so the semantic parser can unify parameters by name.
@@ -94,7 +93,7 @@ impl fmt::Display for ParamDef {
 }
 
 /// Whether a function is a query or an action, along with query flags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FunctionKind {
     /// A query function: retrieves data, no side effects.
     Query {
@@ -160,7 +159,7 @@ impl FunctionKind {
 }
 
 /// A function (query or action) declaration inside a class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FunctionDef {
     /// The function name, unique within the class.
     pub name: String,
@@ -257,7 +256,7 @@ impl fmt::Display for FunctionDef {
 
 /// A class in the skill library: a named collection of queries and actions
 /// (Fig. 4 shows the Dropbox class).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassDef {
     /// The fully-qualified class name, e.g. `com.dropbox`.
     pub name: String,

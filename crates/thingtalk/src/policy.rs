@@ -7,14 +7,13 @@
 //! program if the source predicate matches the principal and the program is
 //! subsumed by the policy body.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::ast::{Action, CompareOp, FunctionRef, Predicate, Program, Stream};
 use crate::value::Value;
 
 /// The body of a TACL policy: a restricted query or a restricted action.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PolicyBody {
     /// Allows reading the results of the given query function, restricted by
     /// the predicate.
@@ -66,7 +65,7 @@ impl PolicyBody {
 /// assert!(!policy.allows_source("stranger"));
 /// # Ok::<(), thingtalk::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Policy {
     /// The predicate over the requesting principal; atoms use the parameter
     /// name `source`.

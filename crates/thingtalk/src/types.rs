@@ -8,7 +8,6 @@
 //! types, which are opaque identifiers that can be recalled by name in
 //! natural language. Arrays are the only compound type.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::units::BaseUnit;
@@ -26,7 +25,7 @@ use crate::units::BaseUnit;
 /// assert!(t.is_comparable());
 /// assert_eq!(t.to_string(), "Measure(byte)");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Type {
     /// Free-form text. Values of this type can be copied word-by-word from
     /// the input sentence by the pointer-generator decoder.

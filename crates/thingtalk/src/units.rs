@@ -6,7 +6,6 @@
 //! a conversion factor (and offset, for temperatures) to that base unit, so
 //! the runtime can compare measures written in different units.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -14,7 +13,7 @@ use crate::error::Error;
 
 /// The dimension a unit measures. Two [`Unit`]s are comparable iff they share
 /// a base unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BaseUnit {
     /// Bytes (digital information).
     Byte,
@@ -50,7 +49,7 @@ pub enum BaseUnit {
 /// assert!((ft.to_base(6.0) - 1.8288).abs() < 1e-9);
 /// # Ok::<(), thingtalk::Error>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum Unit {
     // information

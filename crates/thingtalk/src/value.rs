@@ -7,7 +7,6 @@
 //! neural parser never performs arithmetic; normalization happens here or in
 //! the runtime.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -16,7 +15,7 @@ use crate::units::Unit;
 
 /// A symbolic edge of a calendar period, used in relative date expressions
 /// like "since the start of the week".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum DateEdge {
     StartOfDay,
@@ -86,7 +85,7 @@ impl DateEdge {
 
 /// A ThingTalk date value: either an absolute timestamp, a symbolic edge, or
 /// an edge plus an offset duration ("a week ago" → `now - 7day`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DateValue {
     /// Absolute milliseconds since the (virtual) epoch.
     Absolute(i64),
@@ -113,7 +112,7 @@ impl DateValue {
 }
 
 /// A geographic location: either a named place or explicit coordinates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LocationValue {
     /// A named location resolved later by the runtime ("home", "work",
     /// "palo alto").
@@ -132,7 +131,7 @@ pub enum LocationValue {
 /// `VarRef` is how parameter passing is expressed: the value of an input
 /// parameter refers to an output parameter of an earlier function in the same
 /// program (Fig. 1: `picture_url = picture_url`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Free-form text.
     String(String),

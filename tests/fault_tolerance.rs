@@ -13,8 +13,7 @@
 //! `server.handle` must never overlap a test that assumed a quiet
 //! registry.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::{Arc, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -22,7 +21,10 @@ use genie::engine::{GenieEngine, ParseRequest};
 use genie::paraphrase::ParaphraseConfig;
 use genie::pipeline::PipelineConfig;
 use genie::LiveWorld;
+use genie_bench::{metric, parse_body, request};
 use genie_nlp::failpoint::{self, FaultPlan, SiteSpec};
+use genie_server::http::Response;
+use genie_server::json::Json;
 use genie_server::{GenieServer, ServerConfig};
 use genie_templates::GeneratorConfig;
 use luinet::{LuinetParser, ModelConfig};
@@ -62,7 +64,7 @@ fn quiet_injected_panics() {
 }
 
 /// One trained model for the whole file; per-test engines are cheap views
-/// over it (same idiom as `tests/server_e2e.rs`).
+/// over it.
 fn fixture() -> &'static (Arc<LuinetParser>, String) {
     static FIXTURE: OnceLock<(Arc<LuinetParser>, String)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
@@ -134,117 +136,23 @@ fn engine() -> GenieEngine {
 }
 
 // ---------------------------------------------------------------------------
-// A minimal test client (same shape as tests/server_e2e.rs)
+// Client helpers
 // ---------------------------------------------------------------------------
 
-struct Response {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: String,
-}
-
-impl Response {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// `None` on clean EOF *or* a reset — a connection killed by an injected
-/// acceptor panic may surface either way depending on timing.
-fn read_response<R: BufRead>(reader: &mut R) -> Option<Response> {
-    let mut status_line = String::new();
-    match reader.read_line(&mut status_line) {
-        Ok(0) | Err(_) => return None,
-        Ok(_) => {}
-    }
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .expect("malformed status line")
-        .parse()
-        .unwrap();
-    let mut headers = Vec::new();
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).ok()?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        let (name, value) = line.split_once(':').unwrap();
-        if name.eq_ignore_ascii_case("content-length") {
-            content_length = value.trim().parse().unwrap();
-        }
-        headers.push((name.trim().to_owned(), value.trim().to_owned()));
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).ok()?;
-    Some(Response {
-        status,
-        headers,
-        body: String::from_utf8(body).unwrap(),
-    })
-}
-
 fn post(addr: SocketAddr, path: &str, body: &str) -> Response {
-    try_post(addr, path, body).expect("no response")
-}
-
-/// Like [`post`] but surfaces a dropped connection as `None` — the
-/// expected shape when an injected panic kills the thread mid-accept.
-fn try_post(addr: SocketAddr, path: &str, body: &str) -> Option<Response> {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    let request = format!(
-        "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
-    );
-    if stream.write_all(request.as_bytes()).is_err() {
-        return None;
-    }
-    read_response(&mut BufReader::new(stream))
+    request(addr, "POST", path, body).expect("no response")
 }
 
 fn get(addr: SocketAddr, path: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .write_all(
-            format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").as_bytes(),
-        )
-        .unwrap();
-    read_response(&mut BufReader::new(stream)).expect("no response")
+    request(addr, "GET", path, "").expect("no response")
 }
 
-fn parse_body(utterance: &str) -> String {
-    format!(
-        "{{\"utterance\": {}}}",
-        genie_server::json::escape(utterance)
-    )
-}
-
-fn metric(metrics_text: &str, name: &str) -> u64 {
-    metrics_text
-        .lines()
-        .find_map(|line| {
-            line.strip_prefix(name)
-                .map(|rest| rest.trim().parse().unwrap())
-        })
-        .unwrap_or_else(|| panic!("metric `{name}` missing from:\n{metrics_text}"))
-}
-
+/// The `error.code` of a typed error body.
 fn code_of(response: &Response) -> String {
-    let marker = "\"code\": \"";
-    let start = response
-        .body
-        .find(marker)
-        .unwrap_or_else(|| panic!("no error code in: {}", response.body))
-        + marker.len();
-    let rest = &response.body[start..];
-    rest[..rest.find('"').unwrap()].to_owned()
+    Json::parse(&response.text())
+        .ok()
+        .and_then(|body| Some(body.get("error")?.get("code")?.as_str()?.to_owned()))
+        .unwrap_or_else(|| panic!("no error code in: {}", response.text()))
 }
 
 // ---------------------------------------------------------------------------
@@ -268,12 +176,12 @@ fn a_panicking_handler_answers_500_and_the_server_keeps_serving() {
     {
         let _armed = failpoint::armed(&plan);
         let crashed = post(addr, "/v1/parse", &parse_body(utterance));
-        assert_eq!(crashed.status, 500, "body: {}", crashed.body);
+        assert_eq!(crashed.status, 500, "body: {}", crashed.text());
         assert_eq!(code_of(&crashed), "internal_panic");
         // The panic was supervised: the very next request (same worker
         // pool) parses normally.
         let healthy = post(addr, "/v1/parse", &parse_body(utterance));
-        assert_eq!(healthy.status, 200, "body: {}", healthy.body);
+        assert_eq!(healthy.status, 200, "body: {}", healthy.text());
     }
     let metrics = server.metrics_text();
     assert_eq!(metric(&metrics, "server_panics_total"), 1);
@@ -298,9 +206,9 @@ fn a_dead_acceptor_is_respawned_by_the_watchdog() {
         let _armed = failpoint::armed(&plan);
         // The injected panic kills the acceptor right after accept: this
         // connection closes with no response written.
-        let dropped = try_post(addr, "/v1/parse", &parse_body(utterance));
+        let dropped = request(addr, "POST", "/v1/parse", &parse_body(utterance));
         assert!(
-            dropped.is_none(),
+            dropped.is_err(),
             "the panicking acceptor should have dropped the connection"
         );
     }
@@ -321,7 +229,7 @@ fn a_dead_acceptor_is_respawned_by_the_watchdog() {
     // Back to full strength: requests keep being answered.
     for _ in 0..3 {
         let healthy = post(addr, "/v1/parse", &parse_body(utterance));
-        assert_eq!(healthy.status, 200, "body: {}", healthy.body);
+        assert_eq!(healthy.status, 200, "body: {}", healthy.text());
     }
 }
 
@@ -355,7 +263,7 @@ fn overload_sheds_with_503_and_retry_after_instead_of_queueing() {
     // coalescer window, then overflow the gate.
     std::thread::sleep(Duration::from_millis(150));
     let shed = post(addr, "/v1/parse", &parse_body(utterance));
-    assert_eq!(shed.status, 503, "body: {}", shed.body);
+    assert_eq!(shed.status, 503, "body: {}", shed.text());
     assert_eq!(code_of(&shed), "overloaded");
     assert_eq!(
         shed.header("Retry-After"),
@@ -365,7 +273,7 @@ fn overload_sheds_with_503_and_retry_after_instead_of_queueing() {
 
     // The admitted request is unharmed by the shed one.
     let admitted = first.join().unwrap();
-    assert_eq!(admitted.status, 200, "body: {}", admitted.body);
+    assert_eq!(admitted.status, 200, "body: {}", admitted.text());
     assert!(metric(&server.metrics_text(), "server_shed_total") >= 1);
 }
 
@@ -388,7 +296,7 @@ fn requests_past_their_deadline_answer_a_typed_504() {
     let (_, utterance) = fixture();
 
     let late = post(addr, "/v1/parse", &parse_body(utterance));
-    assert_eq!(late.status, 504, "body: {}", late.body);
+    assert_eq!(late.status, 504, "body: {}", late.text());
     assert_eq!(code_of(&late), "deadline_exceeded");
     assert!(metric(&server.metrics_text(), "server_deadline_exceeded_total") >= 1);
 }
@@ -431,50 +339,50 @@ fn reload_returns_202_and_the_background_builder_swaps_the_world() {
     // No "wait" flag: the acceptor hands the rebuild to the background
     // builder and answers immediately.
     let accepted = post(addr, "/v1/admin/reload", &body);
-    assert_eq!(accepted.status, 202, "body: {}", accepted.body);
+    assert_eq!(accepted.status, 202, "body: {}", accepted.text());
     assert!(
-        accepted.body.contains("\"status\": \"accepted\""),
+        accepted.text().contains("\"status\": \"accepted\""),
         "body: {}",
-        accepted.body
+        accepted.text()
     );
     assert!(
-        accepted.body.contains("\"accepted_version\": 1"),
+        accepted.text().contains("\"accepted_version\": 1"),
         "body: {}",
-        accepted.body
+        accepted.text()
     );
 
     // Poll the status endpoint until the builder goes idle at version 2.
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
         let status = get(addr, "/v1/admin/reload/status");
-        assert_eq!(status.status, 200, "body: {}", status.body);
-        if status.body.contains("\"state\": \"idle\"")
-            && status.body.contains("\"world_version\": 2")
+        assert_eq!(status.status, 200, "body: {}", status.text());
+        if status.text().contains("\"state\": \"idle\"")
+            && status.text().contains("\"world_version\": 2")
         {
             assert!(
-                status.body.contains("\"last_error\": null"),
+                status.text().contains("\"last_error\": null"),
                 "body: {}",
-                status.body
+                status.text()
             );
             assert!(
-                !status.body.contains("\"last_report\": null"),
+                !status.text().contains("\"last_report\": null"),
                 "body: {}",
-                status.body
+                status.text()
             );
             break;
         }
         assert!(
             Instant::now() < deadline,
             "background reload never finished: {}",
-            status.body
+            status.text()
         );
         std::thread::sleep(Duration::from_millis(50));
     }
     let version = get(addr, "/v1/admin/version");
     assert!(
-        version.body.contains("\"world_version\": 2"),
+        version.text().contains("\"world_version\": 2"),
         "body: {}",
-        version.body
+        version.text()
     );
     assert_eq!(live.version(), 2);
     assert_eq!(metric(&server.metrics_text(), "server_reload_ok_total"), 1);
@@ -495,16 +403,16 @@ fn reload_endpoints_answer_503_not_live_without_a_live_world() {
         "/v1/admin/reload",
         "{\"op\": \"remove\", \"name\": \"x\"}",
     );
-    assert_eq!(reload.status, 503, "body: {}", reload.body);
+    assert_eq!(reload.status, 503, "body: {}", reload.text());
     assert_eq!(code_of(&reload), "not_live");
     let status = get(addr, "/v1/admin/reload/status");
-    assert_eq!(status.status, 503, "body: {}", status.body);
+    assert_eq!(status.status, 503, "body: {}", status.text());
     assert_eq!(code_of(&status), "not_live");
     // The version endpoint tells clients this server cannot hot-swap.
     let version = get(addr, "/v1/admin/version");
     assert!(
-        version.body.contains("\"live\": false"),
+        version.text().contains("\"live\": false"),
         "body: {}",
-        version.body
+        version.text()
     );
 }

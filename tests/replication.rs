@@ -9,14 +9,16 @@
 //! No failpoints are armed here, so these tests run in the harness's
 //! normal parallel threads (unlike `fault_tolerance.rs`).
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use genie::live::LiveWorld;
 use genie::ParaphraseConfig;
 use genie::PipelineConfig;
+use genie_bench::{metric, request};
+use genie_server::http::Response;
+use genie_server::json::Json;
 use genie_server::{FollowerConfig, GenieServer, ServerConfig};
 use genie_templates::GeneratorConfig;
 use luinet::ModelConfig;
@@ -109,88 +111,23 @@ fn server_config() -> ServerConfig {
 }
 
 // ---------------------------------------------------------------------------
-// A minimal blocking HTTP client (same idiom as `server_e2e.rs`)
+// Client helpers
 // ---------------------------------------------------------------------------
 
-struct Response {
-    status: u16,
-    body: String,
-}
-
-fn read_response<R: BufRead>(reader: &mut R) -> Response {
-    let mut status_line = String::new();
-    assert!(reader.read_line(&mut status_line).unwrap() > 0, "EOF");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .expect("malformed status line")
-        .parse()
-        .unwrap();
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        let (name, value) = line.split_once(':').unwrap();
-        if name.eq_ignore_ascii_case("content-length") {
-            content_length = value.trim().parse().unwrap();
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).unwrap();
-    Response {
-        status,
-        body: String::from_utf8(body).unwrap(),
-    }
-}
-
 fn get(addr: SocketAddr, path: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .write_all(
-            format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").as_bytes(),
-        )
-        .unwrap();
-    read_response(&mut BufReader::new(stream))
+    request(addr, "GET", path, "").expect("no response")
 }
 
 fn post(addr: SocketAddr, path: &str, body: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .write_all(
-            format!(
-                "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
-                 Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                body.len(),
-            )
-            .as_bytes(),
-        )
-        .unwrap();
-    read_response(&mut BufReader::new(stream))
-}
-
-fn metric(metrics_text: &str, name: &str) -> u64 {
-    metrics_text
-        .lines()
-        .find_map(|line| {
-            line.strip_prefix(name)
-                .and_then(|rest| rest.trim().parse().ok())
-        })
-        .unwrap_or_else(|| panic!("metric `{name}` missing from:\n{metrics_text}"))
+    request(addr, "POST", path, body).expect("no response")
 }
 
 /// The `"weights_digest": "0x…"` value out of a `/v1/admin/version` body.
-fn digest_of(version_body: &str) -> String {
-    let key = "\"weights_digest\": \"";
-    let start = version_body
-        .find(key)
-        .unwrap_or_else(|| panic!("no weights_digest in: {version_body}"))
-        + key.len();
-    let end = start + version_body[start..].find('"').unwrap();
-    version_body[start..end].to_owned()
+fn digest_of(version: &Response) -> String {
+    Json::parse(&version.text())
+        .ok()
+        .and_then(|body| Some(body.get("weights_digest")?.as_str()?.to_owned()))
+        .unwrap_or_else(|| panic!("no weights_digest in: {}", version.text()))
 }
 
 fn wait_for(deadline: Duration, what: &str, mut done: impl FnMut() -> bool) {
@@ -239,7 +176,7 @@ fn a_follower_replays_the_delta_feed_and_matches_the_primary_digest() {
         "/v1/admin/reload",
         "{\"op\": \"remove\", \"name\": \"x\"}",
     );
-    assert_eq!(refused.status, 503, "body: {}", refused.body);
+    assert_eq!(refused.status, 503, "body: {}", refused.text());
 
     // Advance the primary (synchronous reload: the response carries the
     // swap report), then let the poller replay the record.
@@ -248,7 +185,7 @@ fn a_follower_replays_the_delta_feed_and_matches_the_primary_digest() {
         "/v1/admin/reload",
         &reload_body("flip the replicated lights $power"),
     );
-    assert_eq!(swapped.status, 200, "body: {}", swapped.body);
+    assert_eq!(swapped.status, 200, "body: {}", swapped.text());
     assert_eq!(primary_live.version(), 2);
 
     wait_for(
@@ -266,21 +203,18 @@ fn a_follower_replays_the_delta_feed_and_matches_the_primary_digest() {
     // report itself ready with zero lag.
     let primary_version = get(primary.local_addr(), "/v1/admin/version");
     let follower_version = get(follower.local_addr(), "/v1/admin/version");
-    assert_eq!(
-        digest_of(&primary_version.body),
-        digest_of(&follower_version.body)
-    );
+    assert_eq!(digest_of(&primary_version), digest_of(&follower_version));
     let ready = get(follower.local_addr(), "/readyz");
-    assert_eq!(ready.status, 200, "body: {}", ready.body);
+    assert_eq!(ready.status, 200, "body: {}", ready.text());
     assert!(
-        ready.body.contains("\"role\": \"follower\""),
+        ready.text().contains("\"role\": \"follower\""),
         "body: {}",
-        ready.body
+        ready.text()
     );
     assert!(
-        ready.body.contains("\"ready\": true"),
+        ready.text().contains("\"ready\": true"),
         "body: {}",
-        ready.body
+        ready.text()
     );
     let metrics = follower.metrics_text();
     assert!(metric(&metrics, "server_replication_applied_total") >= 1);
@@ -322,19 +256,19 @@ fn an_unreachable_primary_degrades_the_follower_but_parsing_continues() {
     });
     let ready = get(addr, "/readyz");
     assert!(
-        ready.body.contains("\"status\": \"degraded\""),
+        ready.text().contains("\"status\": \"degraded\""),
         "body: {}",
-        ready.body
+        ready.text()
     );
     assert!(
-        ready.body.contains("\"degraded\": true"),
+        ready.text().contains("\"degraded\": true"),
         "body: {}",
-        ready.body
+        ready.text()
     );
     assert!(
-        ready.body.contains("\"role\": \"follower\""),
+        ready.text().contains("\"role\": \"follower\""),
         "body: {}",
-        ready.body
+        ready.text()
     );
     let metrics = follower.metrics_text();
     assert_eq!(metric(&metrics, "server_degraded"), 1);
@@ -344,8 +278,8 @@ fn an_unreachable_primary_degrades_the_follower_but_parsing_continues() {
     // parses (a nonsense utterance earns a *typed* 422, not a refusal).
     assert_eq!(get(addr, "/healthz").status, 200);
     let parse = post(addr, "/v1/parse", "{\"utterance\": \"zz unparseable zz\"}");
-    assert_eq!(parse.status, 422, "body: {}", parse.body);
-    assert!(parse.body.contains("\"error\""), "body: {}", parse.body);
+    assert_eq!(parse.status, 422, "body: {}", parse.text());
+    assert!(parse.text().contains("\"error\""), "body: {}", parse.text());
 
     follower.shutdown();
     drop(black_hole);
@@ -398,7 +332,7 @@ fn a_lagging_follower_resyncs_from_the_primary_bundle() {
     assert!(metric(&metrics, "server_replication_resyncs_total") >= 1);
     assert_eq!(metric(&metrics, "server_replication_lag"), 0);
     let ready = get(follower.local_addr(), "/readyz");
-    assert_eq!(ready.status, 200, "body: {}", ready.body);
+    assert_eq!(ready.status, 200, "body: {}", ready.text());
 
     follower.shutdown();
     primary.shutdown();

@@ -5,14 +5,16 @@
 //! without wedging the server, quotas must answer `429`, and shutdown must
 //! drain in-flight work.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use genie::engine::{GenieEngine, ParseRequest};
 use genie::paraphrase::ParaphraseConfig;
 use genie::pipeline::PipelineConfig;
+use genie_bench::{metric, parse_body, request, send, MAX_RESPONSE_BYTES};
+use genie_server::http::{self, HttpError};
 use genie_server::{api, GenieServer, ServerConfig};
 use genie_templates::GeneratorConfig;
 use luinet::{LuinetParser, ModelConfig};
@@ -103,104 +105,6 @@ fn serve(engine: GenieEngine, config: ServerConfig) -> GenieServer {
 }
 
 // ---------------------------------------------------------------------------
-// A minimal test client
-// ---------------------------------------------------------------------------
-
-struct Response {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: String,
-}
-
-impl Response {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// Read one `Content-Length`-framed response; `None` on clean EOF.
-fn read_response<R: BufRead>(reader: &mut R) -> Option<Response> {
-    let mut status_line = String::new();
-    if reader.read_line(&mut status_line).unwrap() == 0 {
-        return None;
-    }
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .expect("malformed status line")
-        .parse()
-        .unwrap();
-    let mut headers = Vec::new();
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        let (name, value) = line.split_once(':').unwrap();
-        if name.eq_ignore_ascii_case("content-length") {
-            content_length = value.trim().parse().unwrap();
-        }
-        headers.push((name.trim().to_owned(), value.trim().to_owned()));
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).unwrap();
-    Some(Response {
-        status,
-        headers,
-        body: String::from_utf8(body).unwrap(),
-    })
-}
-
-fn raw_post(path: &str, body: &str, keep_alive: bool) -> String {
-    format!(
-        "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{body}",
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    )
-}
-
-fn post(addr: SocketAddr, path: &str, body: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .write_all(raw_post(path, body, false).as_bytes())
-        .unwrap();
-    read_response(&mut BufReader::new(stream)).expect("no response")
-}
-
-fn get(addr: SocketAddr, path: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .write_all(
-            format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").as_bytes(),
-        )
-        .unwrap();
-    read_response(&mut BufReader::new(stream)).expect("no response")
-}
-
-fn parse_body(utterance: &str) -> String {
-    format!(
-        "{{\"utterance\": {}}}",
-        genie_server::json::escape(utterance)
-    )
-}
-
-fn metric(metrics_text: &str, name: &str) -> u64 {
-    metrics_text
-        .lines()
-        .find_map(|line| {
-            line.strip_prefix(name)
-                .map(|rest| rest.trim().parse().unwrap())
-        })
-        .unwrap_or_else(|| panic!("metric `{name}` missing from:\n{metrics_text}"))
-}
-
-// ---------------------------------------------------------------------------
 // Determinism: socket bytes == in-process bytes, at every worker count
 // ---------------------------------------------------------------------------
 
@@ -242,8 +146,9 @@ fn concurrent_socket_responses_are_byte_identical_to_in_process_at_every_worker_
                 .map(|(i, utterance)| {
                     let utterance = utterance.clone();
                     std::thread::spawn(move || {
-                        let response = post(addr, "/v1/parse", &parse_body(&utterance));
-                        (i, response.status, response.body)
+                        let response =
+                            request(addr, "POST", "/v1/parse", &parse_body(&utterance)).unwrap();
+                        (i, response.status, response.text().into_owned())
                     })
                 })
                 .collect();
@@ -285,9 +190,9 @@ fn batch_endpoint_matches_in_process_parse_batch_bytes() {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    let response = post(server.local_addr(), "/v1/parse_batch", &body);
+    let response = request(server.local_addr(), "POST", "/v1/parse_batch", &body).unwrap();
     assert_eq!(response.status, 200);
-    assert_eq!(response.body, expected);
+    assert_eq!(response.text(), expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -301,24 +206,36 @@ fn pipelined_keep_alive_requests_are_served_in_order_on_one_connection() {
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
 
     // Three requests written back-to-back before reading anything.
-    let mut wire = String::new();
-    wire.push_str(&raw_post("/v1/parse", &parse_body(&utterances[0]), true));
-    wire.push_str(&raw_post("/v1/parse", "{\"utterance\": \"\"}", true));
-    wire.push_str("GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
-    stream.write_all(wire.as_bytes()).unwrap();
+    let mut wire = Vec::new();
+    let first_body = parse_body(&utterances[0]);
+    http::write_request(&mut wire, "POST", "/v1/parse", first_body.as_bytes(), true).unwrap();
+    http::write_request(
+        &mut wire,
+        "POST",
+        "/v1/parse",
+        b"{\"utterance\": \"\"}",
+        true,
+    )
+    .unwrap();
+    http::write_request(&mut wire, "GET", "/metrics", b"", false).unwrap();
+    stream.write_all(&wire).unwrap();
 
     let mut reader = BufReader::new(stream);
-    let first = read_response(&mut reader).unwrap();
+    let mut next = || http::read_response(&mut reader, MAX_RESPONSE_BYTES);
+    let first = next().unwrap();
     assert_eq!(first.status, 200);
     assert_eq!(first.header("Connection"), Some("keep-alive"));
-    let second = read_response(&mut reader).unwrap();
+    let second = next().unwrap();
     assert_eq!(second.status, 422, "empty utterance is a typed 422");
-    assert!(second.body.contains("empty_utterance"));
-    let third = read_response(&mut reader).unwrap();
+    assert!(second.text().contains("empty_utterance"));
+    let third = next().unwrap();
     assert_eq!(third.status, 200);
-    assert!(third.body.contains("server_http_requests_total"));
+    assert!(third.text().contains("server_http_requests_total"));
     assert_eq!(third.header("Connection"), Some("close"));
-    assert!(read_response(&mut reader).is_none(), "server honors close");
+    assert!(
+        matches!(next(), Err(HttpError::Closed)),
+        "server honors close"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -338,7 +255,7 @@ fn quota_exhaustion_answers_429_with_retry_after() {
     let addr = server.local_addr();
     let body = parse_body(&utterances[0]);
     let statuses: Vec<u16> = (0..5)
-        .map(|_| post(addr, "/v1/parse", &body).status)
+        .map(|_| request(addr, "POST", "/v1/parse", &body).unwrap().status)
         .collect();
     assert_eq!(
         statuses,
@@ -346,9 +263,9 @@ fn quota_exhaustion_answers_429_with_retry_after() {
         "burst of 2, then typed rejection"
     );
 
-    let rejected = post(addr, "/v1/parse", &body);
+    let rejected = request(addr, "POST", "/v1/parse", &body).unwrap();
     assert_eq!(rejected.status, 429);
-    assert!(rejected.body.contains("quota_exhausted"));
+    assert!(rejected.text().contains("quota_exhausted"));
     let retry_after: u64 = rejected
         .header("Retry-After")
         .expect("429 must carry Retry-After")
@@ -358,7 +275,12 @@ fn quota_exhaustion_answers_429_with_retry_after() {
 
     // Batch cost is per-utterance: a 3-utterance batch cannot fit either.
     let batch = format!("{{\"requests\": [{0}, {0}, {0}]}}", body);
-    assert_eq!(post(addr, "/v1/parse_batch", &batch).status, 429);
+    assert_eq!(
+        request(addr, "POST", "/v1/parse_batch", &batch)
+            .unwrap()
+            .status,
+        429
+    );
 
     let metrics = server.metrics_text();
     assert!(metric(&metrics, "server_quota_rejections_total") >= 4);
@@ -381,84 +303,72 @@ fn hostile_probes_get_typed_errors_and_never_wedge_the_server() {
     );
     let addr = server.local_addr();
 
-    let probe = |wire: &[u8]| -> Option<Response> {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(wire).unwrap();
-        read_response(&mut BufReader::new(stream))
-    };
-
     // Garbage request line → 400 with a machine-readable code.
-    let garbage = probe(b"\x01\x02\x03 garbage\r\n\r\n").unwrap();
+    let garbage = send(addr, b"\x01\x02\x03 garbage\r\n\r\n").unwrap();
     assert_eq!(garbage.status, 400);
-    assert!(garbage.body.contains("bad_request"));
+    assert!(garbage.text().contains("bad_request"));
 
     // POST without Content-Length → 411.
     assert_eq!(
-        probe(b"POST /v1/parse HTTP/1.1\r\nHost: t\r\n\r\n")
+        send(addr, b"POST /v1/parse HTTP/1.1\r\nHost: t\r\n\r\n")
             .unwrap()
             .status,
         411
     );
 
     // Declared body over the limit → 413 without reading the body.
-    let oversized =
-        probe(b"POST /v1/parse HTTP/1.1\r\nHost: t\r\nContent-Length: 99999999\r\n\r\n").unwrap();
+    let oversized = send(
+        addr,
+        b"POST /v1/parse HTTP/1.1\r\nHost: t\r\nContent-Length: 99999999\r\n\r\n",
+    )
+    .unwrap();
     assert_eq!(oversized.status, 413);
-    assert!(oversized.body.contains("payload_too_large"));
+    assert!(oversized.text().contains("payload_too_large"));
 
     // Path over the limit → 414.
     let long_path = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(2048));
-    assert_eq!(probe(long_path.as_bytes()).unwrap().status, 414);
+    assert_eq!(send(addr, long_path.as_bytes()).unwrap().status, 414);
 
     // Malformed JSON, non-UTF-8 bytes, and a JSON depth bomb → 400.
     assert_eq!(
-        probe(raw_post("/v1/parse", "{not json", false).as_bytes())
+        request(addr, "POST", "/v1/parse", "{not json")
             .unwrap()
             .status,
         400
     );
     let mut non_utf8 = b"POST /v1/parse HTTP/1.1\r\nContent-Length: 4\r\n\r\n".to_vec();
     non_utf8.extend_from_slice(&[0xff, 0xfe, 0xfd, 0xfc]);
-    assert_eq!(probe(&non_utf8).unwrap().status, 400);
+    assert_eq!(send(addr, &non_utf8).unwrap().status, 400);
     let bomb = "[".repeat(500);
     assert_eq!(
-        probe(raw_post("/v1/parse", &bomb, false).as_bytes())
-            .unwrap()
-            .status,
+        request(addr, "POST", "/v1/parse", &bomb).unwrap().status,
         400
     );
 
     // Wrong shapes at the API layer → typed 400s.
     assert_eq!(
-        probe(raw_post("/v1/parse", "{\"utterance\": 3}", false).as_bytes())
+        request(addr, "POST", "/v1/parse", "{\"utterance\": 3}")
             .unwrap()
             .status,
         400
     );
 
     // Unknown route → 404; unsupported method → 405 with Allow.
-    assert_eq!(get(addr, "/v1/nope").status, 404);
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .write_all(b"DELETE /v1/parse HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
-        .unwrap();
-    let denied = read_response(&mut BufReader::new(stream)).unwrap();
+    assert_eq!(request(addr, "GET", "/v1/nope", "").unwrap().status, 404);
+    let denied = request(addr, "DELETE", "/v1/parse", "").unwrap();
     assert_eq!(denied.status, 405);
     assert_eq!(denied.header("Allow"), Some("GET, POST"));
 
     // A slow-write attacker (half a request line, then silence) gets a 408
     // once the read timeout fires.
-    let mut slow = TcpStream::connect(addr).unwrap();
-    slow.write_all(b"POST /v1/par").unwrap();
-    let timed_out = read_response(&mut BufReader::new(slow)).unwrap();
+    let timed_out = send(addr, b"POST /v1/par").unwrap();
     assert_eq!(timed_out.status, 408);
 
     // A peer that connects and says nothing is closed quietly.
-    let idle = TcpStream::connect(addr).unwrap();
-    assert!(read_response(&mut BufReader::new(idle)).is_none());
+    assert!(matches!(send(addr, b""), Err(HttpError::Closed)));
 
     // After every probe the server still serves real work.
-    let healthy = post(addr, "/v1/parse", &parse_body(&utterances[0]));
+    let healthy = request(addr, "POST", "/v1/parse", &parse_body(&utterances[0])).unwrap();
     assert_eq!(healthy.status, 200);
 
     let metrics = server.metrics_text();
@@ -478,12 +388,18 @@ fn metrics_fold_engine_counters_without_shadow_counting() {
 
     // Same utterance twice: the second is an engine cache hit.
     let body = parse_body(&utterances[0]);
-    assert_eq!(post(addr, "/v1/parse", &body).status, 200);
-    assert_eq!(post(addr, "/v1/parse", &body).status, 200);
+    assert_eq!(
+        request(addr, "POST", "/v1/parse", &body).unwrap().status,
+        200
+    );
+    assert_eq!(
+        request(addr, "POST", "/v1/parse", &body).unwrap().status,
+        200
+    );
 
-    let scraped = get(addr, "/metrics");
+    let scraped = request(addr, "GET", "/metrics", "").unwrap();
     assert_eq!(scraped.status, 200);
-    let text = &scraped.body;
+    let text = &*scraped.text();
     assert_eq!(metric(text, "server_parse_requests_total"), 2);
     assert_eq!(metric(text, "server_parse_ok_total"), 2);
     assert_eq!(metric(text, "server_quota_rejections_total"), 0);
@@ -507,7 +423,7 @@ fn metrics_fold_engine_counters_without_shadow_counting() {
         assert!(parts.next().is_none());
     }
 
-    assert_eq!(get(addr, "/healthz").status, 200);
+    assert_eq!(request(addr, "GET", "/healthz", "").unwrap().status, 200);
 }
 
 // ---------------------------------------------------------------------------
@@ -530,7 +446,7 @@ fn shutdown_drains_in_flight_requests_then_refuses_new_connections() {
     let addr = server.local_addr();
 
     let body = parse_body(&utterances[0]);
-    let in_flight = std::thread::spawn(move || post(addr, "/v1/parse", &body));
+    let in_flight = std::thread::spawn(move || request(addr, "POST", "/v1/parse", &body).unwrap());
     // Let the request reach the coalescer queue, then pull the plug.
     std::thread::sleep(Duration::from_millis(60));
     server.shutdown();
